@@ -17,7 +17,6 @@ from .engine import (
 )
 from .budgeted import (
     BudgetedProblem,
-    ParetoFront,
     brute_force_psi,
     psi_budgeted,
     psi_chain,

@@ -1,13 +1,14 @@
-"""Budget-constrained cover optimization via Pareto-front dynamic programming.
+"""Budget-constrained cover optimization via Pareto fronts.
 
 A budgeted problem minimizes the objective cover cost over truncated covers
-whose auxiliary costs stay strictly below given bounds.  The recursion is
-the same take-or-split tree as the unconstrained optimizer; each node now
-carries an antichain of cost vectors (objective first, one component per
-constraint), children are combined by vector sums, and componentwise
-dominance prunes exactly: budget feasibility and the objective are both
-monotone in every component.  No nonnegativity is assumed, so signed
-objectives and signed constraint measures are handled by the same code.
+whose auxiliary costs stay strictly below given bounds.  It runs the
+engine's take-or-split walk with one cost component per measure (objective
+first, then one per constraint) and keeps at each node the antichain left by
+:func:`prune`: componentwise dominance prunes exactly, because budget
+feasibility and the objective are both monotone in every component.  The
+root front never depends on the bounds, so one front answers every slack.
+No nonnegativity is assumed, so signed objectives and signed constraint
+measures are handled by the same code.
 
 Values computed here are optima over disjoint witnesses (grade labelings of
 the refinement tree); for nonnegative measures this coincides with the
@@ -18,17 +19,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from functools import partial
+from operator import itemgetter
 
 from . import engine, measures, symbolic
-from .covers import Cover, TruncationConfig, ValueCertificate, cover_cost, is_valid_cover
-from .errors import (
-    BudgetExceededError,
-    DimensionCapError,
-    InfeasibleError,
-    RejectedInputError,
-    TooLargeError,
-)
+from .covers import TruncationConfig, ValueCertificate
+from .engine import prune
+from .errors import DimensionCapError, InfeasibleError, RejectedInputError
 
 ZERO = Fraction(0)
 
@@ -53,88 +50,29 @@ class BudgetedProblem:
         )
 
 
-@dataclass(frozen=True)
-class ParetoFront:
-    """Antichain of cost vectors under componentwise <=."""
-
-    vectors: tuple[tuple[Fraction, ...], ...]
-
-    def __post_init__(self):
-        vecs = tuple(sorted(self.vectors))
-        for u in vecs:
-            for v in vecs:
-                if u is not v and _dominates(u, v):
-                    raise RejectedInputError("front contains a dominated vector")
-        object.__setattr__(self, "vectors", vecs)
+def _front(q, comps, cfg, base_graded, node_cap, front_cap):
+    """Frame and root Pareto front of a query; (None, None) when it is empty."""
+    frame = engine.build_frame(q, cfg, base_graded)
+    if frame is None:
+        return None, None
+    return frame, engine._walk(frame, comps, partial(prune, cap=front_cap), node_cap)
 
 
-def _dominates(u, v) -> bool:
-    return u != v and all(a <= b for a, b in zip(u, v))
-
-
-def prune(items, cap=engine.FRONT_CAP):
-    """Keep the nondominated (vector, trace) pairs, deterministic order."""
-    items = sorted(items, key=lambda it: it[0])
-    kept = []
-    seen = set()
-    for vec, trace in items:
-        if vec in seen:
-            continue
-        if any(_dominates(kvec, vec) for kvec, _ in kept):
-            continue
-        kept = [(kvec, kt) for kvec, kt in kept if not _dominates(vec, kvec)]
-        kept.append((vec, trace))
-        seen.add(vec)
-    if len(kept) > cap:
-        raise BudgetExceededError("Pareto front exceeded the size cap")
-    return kept
-
-
-def _combine(fronts, cap):
-    """Minkowski sum of child fronts with dominance pruning."""
-    acc = [(None, ())]
-    for front in fronts:
-        nxt = []
-        for vec, parts in acc:
-            for cvec, ctrace in front:
-                nvec = cvec if vec is None else tuple(a + b for a, b in zip(vec, cvec))
-                nxt.append((nvec, parts + (ctrace,)))
-        acc = prune(nxt, cap)
-    return acc
-
-
-def _solve_fronts(frame, comps, node_cap, front_cap):
-    count = 0
-
-    def rec(word, cells, m):
-        nonlocal count
-        count += 1
-        if count > node_cap:
-            raise BudgetExceededError("refinement tree exceeded the node cap")
-        cyl = engine._cylinder(frame, m, word)
-        shift = frame.cost_shift(m)
-        take_vec = tuple(measures.eval_shifted(c, shift, cyl) for c in comps)
-        options = [(take_vec, ("take", m, word))]
-        if m > -frame.depth:
-            position = frame.floor(m) - 1 - frame.wlo
-            fronts = [
-                rec((symbol,) + word, group, m - 1)
-                for symbol, group in engine._groups(cells, position)
-            ]
-            for vec, parts in _combine(fronts, front_cap):
-                options.append((vec, ("split", parts)))
-        return prune(options, front_cap)
-
-    return [rec(word, cells, 0) for word, cells in engine._roots(frame)]
-
-
-def _collect_taken(trace, out):
-    kind = trace[0]
-    if kind == "take":
-        out.append((trace[1], trace[2]))
-    else:
-        for part in trace[1]:
-            _collect_taken(part, out)
+def _cheapest_feasible(q, comps, bounds, cfg, base_graded, frame, front):
+    """Certificate of the cheapest option of a root front whose components
+    1..k stay strictly below ``bounds``."""
+    if frame is None:
+        if all(b > 0 for b in bounds):
+            empty = engine._cover((), cfg.base_shift, base_graded)
+            return ValueCertificate(ZERO, empty, cfg, (ZERO,) * len(comps))
+        raise InfeasibleError("empty set infeasible under a nonpositive budget")
+    feasible = [opt for opt in front if all(c < b for c, b in zip(opt[0][1:], bounds))]
+    if not feasible:
+        raise InfeasibleError(
+            f"no cover meets the budgets {bounds} at this truncation"
+        )
+    best = min(feasible, key=itemgetter(0))
+    return engine._certificate(q, comps, cfg, frame, best, base_graded, vector=True)
 
 
 def psi_budgeted(
@@ -150,34 +88,8 @@ def psi_budgeted(
     """
     comps = [p.objective] + [m for m, _ in p.constraints]
     bounds = [b for _, b in p.constraints]
-    frame = engine.build_frame(p.q, p.cfg, base_graded)
-    if frame is None:
-        if all(b > 0 for b in bounds):
-            empty = Cover((), 0 if base_graded else p.cfg.base_shift,
-                          p.cfg.base_shift if base_graded else None)
-            return ValueCertificate(ZERO, empty, p.cfg, (ZERO,) * len(comps))
-        raise InfeasibleError("empty set infeasible under a nonpositive budget")
-    fronts = _solve_fronts(frame, comps, node_cap, front_cap)
-    combined = _combine(fronts, front_cap)
-    feasible = [
-        (vec, parts)
-        for vec, parts in combined
-        if all(vec[k + 1] < bounds[k] for k in range(len(bounds)))
-    ]
-    if not feasible:
-        raise InfeasibleError(
-            f"no cover meets the budgets {bounds} at this truncation"
-        )
-    vec, parts = min(feasible, key=lambda it: it[0])
-    taken: list = []
-    for part in parts:
-        _collect_taken(part, taken)
-    witness = engine._witness(frame, taken, base_graded)
-    assert is_valid_cover(p.q, witness)
-    assert cover_cost(witness, p.objective) == vec[0]
-    for k, (m, _) in enumerate(p.constraints):
-        assert cover_cost(witness, m) == vec[k + 1]
-    return ValueCertificate(vec[0], witness, p.cfg, vec)
+    frame, front = _front(p.q, comps, p.cfg, base_graded, node_cap, front_cap)
+    return _cheapest_feasible(p.q, comps, bounds, p.cfg, base_graded, frame, front)
 
 
 def brute_force_psi(
@@ -195,36 +107,18 @@ def brute_force_psi(
         if all(b > 0 for b in bounds):
             return ZERO, (ZERO,) * len(comps)
         raise InfeasibleError("empty set infeasible under a nonpositive budget")
-    leaves = []
-    for _, cells in engine._roots(frame):
-        leaves.extend(engine._leaves(frame, cells))
-    if len(leaves) > leaf_cap:
-        raise TooLargeError(f"{len(leaves)} classes exceed the enumeration cap")
-    depth = frame.depth
-    if (depth + 1) ** len(leaves) > labeling_cap:
-        raise TooLargeError("too many grade labelings to enumerate")
-    floor_d = frame.floor(-depth)
-    cache: dict = {}
-
-    def cyl_vec(m, word):
-        key = (m, word)
-        if key not in cache:
-            cyl = engine._cylinder(frame, m, word)
-            shift = frame.cost_shift(m)
-            cache[key] = tuple(measures.eval_shifted(c, shift, cyl) for c in comps)
-        return cache[key]
-
-    best = None
-    for labeling in product(range(-depth, 1), repeat=len(leaves)):
-        total = (ZERO,) * len(comps)
-        for m in set(labeling):
-            drop = frame.floor(m) - floor_d
-            words = {leaves[k][drop:] for k, g in enumerate(labeling) if g == m}
-            for word in words:
-                total = tuple(a + b for a, b in zip(total, cyl_vec(m, word)))
-        if all(total[k + 1] < bounds[k] for k in range(len(bounds))):
-            if best is None or total < best:
-                best = total
+    leaves = [
+        leaf for _, cells in engine._roots(frame) for leaf in engine._leaves(frame, cells)
+    ]
+    costs = engine._labeling_costs(frame, comps)
+    best = min(
+        (
+            vec
+            for vec in costs(leaves, leaf_cap, labeling_cap)
+            if all(c < b for c, b in zip(vec[1:], bounds))
+        ),
+        default=None,
+    )
     if best is None:
         raise InfeasibleError("no labeling meets the budgets at this truncation")
     return best[0], best
@@ -259,6 +153,7 @@ def psi_eps_grid(
     feasible classes nest along both axes, so exact monotonicity holds with
     infeasible cells read as plus infinity: values never decrease as the
     slack shrinks, and never decrease as the shift moves away from zero.
+    Each shift's front is solved once and filtered for every slack.
     """
     eps_list = tuple(Fraction(e) for e in eps_list)
     i_list = tuple(int(i) for i in i_list)
@@ -272,15 +167,23 @@ def psi_eps_grid(
         cfg.depth, cfg.width, min(i_list), window_lo=wlo, window_hi=whi
     )
     surrogate = engine.phi_truncated(q, phi, deepest).value
+    comps = [psi, phi]
+    fronts = {}
+    for i in i_list:
+        cell_cfg = TruncationConfig(
+            i - floor_abs, cfg.width, i, window_lo=wlo, window_hi=whi
+        )
+        fronts[i] = (cell_cfg,) + _front(
+            q, comps, cell_cfg, False, engine.NODE_CAP, engine.FRONT_CAP
+        )
     cells = {}
     for eps in eps_list:
         for i in i_list:
-            cell_cfg = TruncationConfig(
-                i - floor_abs, cfg.width, i, window_lo=wlo, window_hi=whi
-            )
-            problem = BudgetedProblem(q, psi, ((phi, surrogate + eps),), cell_cfg)
+            cell_cfg, frame, front = fronts[i]
             try:
-                cells[(eps, i)] = psi_budgeted(problem)
+                cells[(eps, i)] = _cheapest_feasible(
+                    q, comps, [surrogate + eps], cell_cfg, False, frame, front
+                )
             except InfeasibleError:
                 cells[(eps, i)] = None
 

@@ -3,7 +3,8 @@
 Commands take their payload from the spec file's ``commands`` section, so a
 run is reproducible from the file alone; flags only select the command, the
 output format, the seed, and display options.  Exit codes: 0 ok, 1 fail
-verdict, 2 input error, 3 resource cap.
+verdict, 2 input error, 3 resource cap, 4 internal error (a computed
+result failed its re-check).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .budgeted import BudgetedProblem, psi_budgeted, psi_chain, psi_eps_grid, ps
 from .covers import TruncationConfig
 from .errors import (
     BudgetExceededError,
+    CertificateError,
     DimensionCapError,
     InfeasibleError,
     LabError,
@@ -36,6 +38,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_RESOURCE = 3
+EXIT_INTERNAL = 4
 
 
 def default_spec() -> ProblemSpec:
@@ -309,6 +312,9 @@ def main(argv=None) -> int:
     except InfeasibleError as exc:
         print(json.dumps({"error": str(exc), "kind": "infeasible"}, sort_keys=True))
         return EXIT_FAIL
+    except CertificateError as exc:
+        print(json.dumps({"error": str(exc), "kind": "internal"}, sort_keys=True))
+        return EXIT_INTERNAL
     except (LabError, KeyError, OSError, json.JSONDecodeError, ValueError) as exc:
         print(json.dumps({"error": str(exc), "kind": "input"}, sort_keys=True))
         return EXIT_INPUT

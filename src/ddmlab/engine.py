@@ -15,9 +15,15 @@ classes: a node at level m is a word over [floor(m), whi] met by Q; it is
 either charged whole at level m or split on coordinate floor(m) - 1 into
 its children at level m - 1, while m > -D.
 
-Both a scalar solver and a Pareto-front vector solver (for budgeted
-problems) share this recursion.  An independent brute-force enumerator over
-grade labelings of the finest classes serves as the oracle.
+One walk of this tree serves every optimizer.  Each node returns a front of
+(cost vector, trace) options, one cost component per measure, reduced by a
+``keep`` rule: the scalar problem is the one-component case that keeps the
+first cheapest option, and budgeted problems (module ``budgeted``) keep the
+Pareto antichain left by :func:`prune`.  Every optimum's witness is
+re-validated and re-priced on each component through the window-set path,
+and a mismatch raises :class:`CertificateError`.  An independent
+brute-force enumerator over grade labelings of the finest classes is the
+oracle for both problems.
 """
 
 from __future__ import annotations
@@ -25,10 +31,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from operator import add, itemgetter
 
-from . import measures, symbolic
+from . import covers, measures, symbolic
 from .covers import Cover, TruncationConfig, ValueCertificate
-from .errors import BudgetExceededError, RejectedInputError, TooLargeError
+from .errors import BudgetExceededError, CertificateError, RejectedInputError, TooLargeError
 
 NODE_CAP = 500_000
 FRONT_CAP = 20_000
@@ -106,11 +113,58 @@ def _group_by_suffix(cells, position):
     return sorted(buckets.items())
 
 
-# -- scalar solver -----------------------------------------------------
+# -- the take-or-split walk --------------------------------------------
 
 
-def _solve_scalar(frame: Frame, phi: measures.CylinderMeasure, node_cap: int):
-    """Per-root optimal value and taken nodes; scalar take-or-split."""
+def prune(items, cap=FRONT_CAP):
+    """Keep the nondominated (vector, trace) pairs, deterministic order.
+
+    After the lexicographic sort no vector dominates one sorted before it,
+    so one pass against the kept vectors suffices; weak dominance also
+    drops the later copies of a repeated vector.
+    """
+    kept = []
+    for vec, trace in sorted(items, key=itemgetter(0)):
+        if not any(all(a <= b for a, b in zip(kvec, vec)) for kvec, _ in kept):
+            kept.append((vec, trace))
+    if len(kept) > cap:
+        raise BudgetExceededError("Pareto front exceeded the size cap")
+    return kept
+
+
+def _cheapest(options):
+    """Scalar keep rule: the first cheapest option, so a tie goes to take."""
+    best = options[0]
+    for option in options[1:]:
+        if option[0][0] < best[0][0]:
+            best = option
+    return [best]
+
+
+def _combine(fronts, keep):
+    """Minkowski sum of child fronts, each partial sum reduced by ``keep``.
+
+    A translate of an antichain is an antichain in the same sorted order,
+    so a sum with a one-vector factor is left as it is.
+    """
+    acc = fronts[0]
+    for front in fronts[1:]:
+        nxt = [
+            (tuple(map(add, vec, cvec)), (trace, ctrace))
+            for vec, trace in acc
+            for cvec, ctrace in front
+        ]
+        acc = nxt if len(acc) == 1 or len(front) == 1 else keep(nxt)
+    return acc
+
+
+def _walk(frame: Frame, comps, keep, node_cap: int):
+    """Root front of (cost vector, trace) options of the take-or-split tree.
+
+    A vector has one component per measure of ``comps``.  A trace is either
+    the pair (m, word) of a taken node or a pair of traces, whose taken
+    nodes together make up a sum of options.
+    """
     count = 0
 
     def rec(word, cells, m):
@@ -118,49 +172,77 @@ def _solve_scalar(frame: Frame, phi: measures.CylinderMeasure, node_cap: int):
         count += 1
         if count > node_cap:
             raise BudgetExceededError("refinement tree exceeded the node cap")
-        take = measures.eval_shifted(phi, frame.cost_shift(m), _cylinder(frame, m, word))
-        if m > -frame.depth:
-            position = frame.floor(m) - 1 - frame.wlo
-            split_value = ZERO
-            split_taken = []
-            for symbol, group in _groups(cells, position):
-                value, taken = rec((symbol,) + word, group, m - 1)
-                split_value += value
-                split_taken.extend(taken)
-            if split_value < take:
-                return split_value, split_taken
-        return take, [(m, word)]
+        cyl = _cylinder(frame, m, word)
+        shift = frame.cost_shift(m)
+        take = tuple([measures.eval_shifted(mu, shift, cyl) for mu in comps])
+        options = [(take, (m, word))]
+        if m == -frame.depth:
+            return options
+        position = frame.floor(m) - 1 - frame.wlo
+        fronts = [
+            rec((symbol,) + word, group, m - 1) for symbol, group in _groups(cells, position)
+        ]
+        return keep(options + _combine(fronts, keep))
 
-    total = ZERO
-    taken_all = []
-    for word, cells in _roots(frame):
-        value, taken = rec(word, cells, 0)
-        total += value
-        taken_all.extend(taken)
-    return total, taken_all
+    return _combine([rec(word, cells, 0) for word, cells in _roots(frame)], keep)
 
 
-def _witness(frame: Frame, taken, base_graded: bool) -> Cover:
+def _taken(trace):
+    """The (level, word) nodes taken in a trace."""
+    out = []
+    stack = [trace]
+    while stack:
+        trace = stack.pop()
+        if isinstance(trace[0], int):
+            out.append(trace)
+        else:
+            stack.extend(trace)
+    return out
+
+
+def _cover(entries, base_shift: int, base_graded: bool) -> Cover:
+    if base_graded:
+        return Cover(entries, base_shift=0, cost_base=base_shift)
+    return Cover(entries, base_shift=base_shift)
+
+
+def _witness(frame: Frame, trace, base_graded: bool) -> Cover:
     per_level: dict[int, list] = {}
-    for m, word in taken:
+    for m, word in _taken(trace):
         per_level.setdefault(m, []).append(word)
     entries = []
     for m in sorted(per_level, reverse=True):
         window = symbolic.Window(frame.floor(m), frame.whi)
         entry = symbolic.WindowSet.from_words(frame.n, window, per_level[m]).canonicalize()
         entries.append((m, entry))
-    if base_graded:
-        return Cover(tuple(entries), base_shift=0, cost_base=frame.base_shift)
-    return Cover(tuple(entries), base_shift=frame.base_shift)
+    return _cover(tuple(entries), frame.base_shift, base_graded)
 
 
-def _certificate(q, phi, cfg, frame, value, taken, base_graded, vector=None):
-    from .covers import cover_cost, is_valid_cover
+def _certificate(q, comps, cfg, frame, option, base_graded, vector):
+    """Certificate of a root option, whose witness is re-validated and
+    re-priced on every cost component through the window-set path; the
+    cost vector is attached when ``vector`` is set."""
+    vec, trace = option
+    witness = _witness(frame, trace, base_graded)
+    if not covers.is_valid_cover(q, witness):
+        raise CertificateError("the witness is not a graded cover of the query")
+    for k, mu in enumerate(comps):
+        price = covers.cover_cost(witness, mu)
+        if price != vec[k]:
+            raise CertificateError(
+                f"the witness prices cost component {k} at {price}, not {vec[k]}"
+            )
+    return ValueCertificate(vec[0], witness, cfg, vec if vector else None)
 
-    witness = _witness(frame, taken, base_graded)
-    assert is_valid_cover(q, witness)
-    assert cover_cost(witness, phi) == value
-    return ValueCertificate(value, witness, cfg, vector)
+
+def _phi_optimum(q, phi, cfg, node_cap, base_graded):
+    if not phi.nonnegative:
+        raise RejectedInputError("cover optimization needs a nonnegative measure")
+    frame = build_frame(q, cfg, base_graded)
+    if frame is None:
+        return ValueCertificate(ZERO, _cover((), cfg.base_shift, base_graded), cfg)
+    [option] = _walk(frame, [phi], _cheapest, node_cap)
+    return _certificate(q, [phi], cfg, frame, option, base_graded, vector=False)
 
 
 def phi_truncated(
@@ -174,13 +256,7 @@ def phi_truncated(
     The value is an upper bound for the untruncated infimum and is
     nonincreasing in both depth and width.
     """
-    if not phi.nonnegative:
-        raise RejectedInputError("cover optimization needs a nonnegative measure")
-    frame = build_frame(q, cfg, base_graded=False)
-    if frame is None:
-        return ValueCertificate(ZERO, Cover((), cfg.base_shift), cfg)
-    value, taken = _solve_scalar(frame, phi, node_cap)
-    return _certificate(q, phi, cfg, frame, value, taken, base_graded=False)
+    return _phi_optimum(q, phi, cfg, node_cap, base_graded=False)
 
 
 def phi_paren_truncated(
@@ -193,13 +269,7 @@ def phi_paren_truncated(
 
     Coincides with :func:`phi_truncated` at i = 0 and is nonincreasing in i.
     """
-    if not phi.nonnegative:
-        raise RejectedInputError("cover optimization needs a nonnegative measure")
-    frame = build_frame(q, cfg, base_graded=True)
-    if frame is None:
-        return ValueCertificate(ZERO, Cover((), 0, cfg.base_shift), cfg)
-    value, taken = _solve_scalar(frame, phi, node_cap)
-    return _certificate(q, phi, cfg, frame, value, taken, base_graded=True)
+    return _phi_optimum(q, phi, cfg, node_cap, base_graded=True)
 
 
 # -- brute force oracle ------------------------------------------------
@@ -208,6 +278,38 @@ def phi_paren_truncated(
 def _leaves(frame: Frame, cells):
     position = frame.floor(-frame.depth) - frame.wlo
     return [suffix for suffix, _ in _group_by_suffix(cells, position)]
+
+
+def _labeling_costs(frame: Frame, comps):
+    """Enumerator of the cost vectors of every grade labeling of a list of
+    finest classes; each (level, word) cylinder is priced once across its
+    calls.  It shares nothing with the walk, so it can check it."""
+    depth = frame.depth
+    floor_d = frame.floor(-depth)
+    cache: dict = {}
+
+    def price(m, word):
+        key = (m, word)
+        if key not in cache:
+            cyl = _cylinder(frame, m, word)
+            shift = frame.cost_shift(m)
+            cache[key] = tuple(measures.eval_shifted(mu, shift, cyl) for mu in comps)
+        return cache[key]
+
+    def costs(leaves, class_cap, labeling_cap):
+        if len(leaves) > class_cap:
+            raise TooLargeError(f"{len(leaves)} classes exceed the enumeration cap")
+        if (depth + 1) ** len(leaves) > labeling_cap:
+            raise TooLargeError("too many grade labelings to enumerate")
+        for labeling in product(range(-depth, 1), repeat=len(leaves)):
+            total = (ZERO,) * len(comps)
+            for m in set(labeling):
+                drop = frame.floor(m) - floor_d
+                for word in {leaves[k][drop:] for k, g in enumerate(labeling) if g == m}:
+                    total = tuple(map(add, total, price(m, word)))
+            yield total
+
+    return costs
 
 
 def brute_force_phi(
@@ -225,36 +327,11 @@ def brute_force_phi(
     frame = build_frame(q, cfg, base_graded)
     if frame is None:
         return ZERO
-    depth = frame.depth
-    cost_cache: dict = {}
-
-    def cyl_cost(m, word):
-        key = (m, word)
-        if key not in cost_cache:
-            cost_cache[key] = measures.eval_shifted(
-                phi, frame.cost_shift(m), _cylinder(frame, m, word)
-            )
-        return cost_cache[key]
-
+    costs = _labeling_costs(frame, [phi])
     total = ZERO
     for _, cells in _roots(frame):
-        leaves = _leaves(frame, cells)
-        if len(leaves) > class_cap:
-            raise TooLargeError(f"{len(leaves)} classes exceed the enumeration cap")
-        if (depth + 1) ** len(leaves) > labeling_cap:
-            raise TooLargeError("too many grade labelings to enumerate")
-        floor_d = frame.floor(-depth)
-        best = None
-        for labeling in product(range(-depth, 1), repeat=len(leaves)):
-            cost = ZERO
-            for m in set(labeling):
-                drop = frame.floor(m) - floor_d
-                words = {leaves[k][drop:] for k, g in enumerate(labeling) if g == m}
-                for word in words:
-                    cost += cyl_cost(m, word)
-            if best is None or cost < best:
-                best = cost
-        total += best
+        # roots are independent, so each is enumerated on its own
+        total += min(costs(_leaves(frame, cells), class_cap, labeling_cap))[0]
     return total
 
 
@@ -331,9 +408,7 @@ def shared_bounds(q, i_list, depth, width, base_graded=False):
     floor0_top = 0 if base_graded else i_top
     floor_d = (0 if base_graded else i_bot) - depth
     key = q.canonical_key()
-    if key == ("full",):
-        qlo = qhi = floor0_top
-    elif key == ("empty",):
+    if key in (("full",), ("empty",)):
         qlo = qhi = floor0_top
     else:
         qlo, qhi = key[0], key[1]
@@ -371,7 +446,7 @@ def phi_grid(
         mirrored = phi_truncated(symbolic.shift(q, i), phi, cfg0)
         covariant = mirrored.value == cert.value
         if not covariant:
-            raise AssertionError(
+            raise CertificateError(
                 f"shift covariance failed at i={i}: {cert.value} vs {mirrored.value}"
             )
         rows.append(GridRow(i, cert, covariant))

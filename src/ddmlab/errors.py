@@ -41,6 +41,12 @@ class InfeasibleError(LabError, RuntimeError):
     """
 
 
+class CertificateError(LabError):
+    """A computed optimum failed its independent re-check: the witness does
+    not cover the query or does not re-price to the reported costs.  This is
+    an internal fault, never a property of the input."""
+
+
 class DimensionCapError(LabError, ValueError):
     """Chain length beyond the configured cap."""
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterable, Iterator
 
 from .errors import RejectedInputError
@@ -267,29 +266,6 @@ class WindowSet:
         lo, hi, _ = key
         return self.words_on(Window(lo, hi))
 
-    def word_count(self) -> int:
-        key = self.canonical_key()
-        if key in (("empty",), ("full",)):
-            return 0
-        return int.bit_count(key[2])
-
-    def contains_word(self, window: Window, word: tuple[int, ...]) -> bool:
-        """Does the cylinder of ``word`` over ``window`` lie inside this set?
-
-        ``window`` must contain the canonical window, so the word decides
-        membership.
-        """
-        key = self.canonical_key()
-        if key == ("empty",):
-            return False
-        if key == ("full",):
-            return True
-        lo, hi, bits = key
-        if not window.contains(Window(lo, hi)):
-            raise RejectedInputError("word window does not determine membership")
-        sub = word[lo - window.lo : hi - window.lo + 1]
-        return bool((bits >> word_rank(self.n, sub)) & 1)
-
     def literal(self) -> str:
         """Textual fixture form: full, empty, cyl(...), or union(cyl...)."""
         key = self.canonical_key()
@@ -484,7 +460,3 @@ def all_window_sets(n: int, window: Window) -> Iterator[WindowSet]:
     count = _cell_count(n, window)
     for bits in range(1 << count):
         yield WindowSet(n, window, bits).canonicalize()
-
-
-def all_words(n: int, span: int) -> Iterator[tuple[int, ...]]:
-    return product(range(n), repeat=span)

@@ -166,28 +166,13 @@ class FiniteAlgebra:
                     bits |= mask
             members.add(symbolic.WindowSet(n, window, bits).canonicalize())
         self.members = sorted(members, key=lambda s: s.canonical_key().__repr__())
+        self._window = window  # also the hull of the members' windows
 
     def __len__(self):
         return len(self.members)
 
     def __iter__(self):
         return iter(self.members)
-
-    def __contains__(self, s: symbolic.WindowSet) -> bool:
-        return s.canonicalize() in set(self.members)
-
-    def materialized(self) -> tuple[symbolic.Window, list[int]]:
-        """All members as raw bitsets on one shared window."""
-        lo = min(
-            (int(m.min_coordinate()) for m in self.members if not m.is_degenerate),
-            default=0,
-        )
-        hi = max(
-            (int(m.max_coordinate()) for m in self.members if not m.is_degenerate),
-            default=0,
-        )
-        window = symbolic.Window(lo, hi)
-        return window, [m.bits_on(window) for m in self.members]
 
 
 @dataclass
@@ -213,31 +198,15 @@ def caratheodory_measurable(
     return SplitResult(True)
 
 
-def _member_values(mu: SetFunctionHandle, algebra: FiniteAlgebra):
-    """Evaluate mu once per member; closure under the Boolean operations
-    lets every split be looked up as plain bitset arithmetic."""
-    window, bits_list = algebra.materialized()
-    values = {
-        bits: mu(member) for member, bits in zip(algebra.members, bits_list)
-    }
-    mask = (1 << (algebra.n ** window.span)) - 1
-    return bits_list, values, mask
-
-
-def passing_family(mu: SetFunctionHandle, algebra: FiniteAlgebra) -> list[symbolic.WindowSet]:
-    bits_list, values, mask = _member_values(mu, algebra)
-    out = []
-    for member, a in zip(algebra.members, bits_list):
-        if all(values[q] == values[q & a] + values[q & ~a & mask] for q in bits_list):
-            out.append(member)
-    return out
-
-
 def check_splitting_closure(mu: SetFunctionHandle, algebra: FiniteAlgebra) -> Report:
     """Finite-scale closure of the family of splitting sets: closed under
     complement and disjoint union, with ``mu`` finitely additive on it."""
     report = Report(f"splitting family closure under {mu.label}")
-    bits_list, values, mask = _member_values(mu, algebra)
+    # mu is evaluated once per member; closure under the Boolean operations
+    # lets every split be looked up as plain bitset arithmetic
+    bits_list = [member.bits_on(algebra._window) for member in algebra.members]
+    values = {bits: mu(member) for member, bits in zip(algebra.members, bits_list)}
+    mask = (1 << (algebra.n ** algebra._window.span)) - 1
     passing = []
     for a in bits_list:
         if all(values[q] == values[q & a] + values[q & ~a & mask] for q in bits_list):

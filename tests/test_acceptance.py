@@ -5,6 +5,7 @@ shows them; any assertion failure marks the criterion FAIL).  Stated time
 limits are asserted with a monotonic clock.
 """
 
+import hashlib
 import json
 import random
 import subprocess
@@ -22,6 +23,9 @@ from ddmlab.symbolic import WindowSet
 CHAIN_A = ((F(1, 2), F(1, 2)), (F(1, 4), F(3, 4)))
 ALT = DiracMeasure(2, (0, 1))
 X = WindowSet.full_space(2)
+# SHA-256 of the stdout of `python -m ddmlab verify all --seed 7`; a change
+# that alters the verification output on purpose records the new digest
+VERIFY_ALL_SEED_7_SHA256 = "667168b3d94ee395e7b4c89705a65e9a94a43177b6a06cf3d7a94c0b2a94aa04"
 
 
 class Clock:
@@ -261,6 +265,7 @@ def test_criterion_12_byte_identical_verification():
     assert first.returncode == 0, first.stdout.decode()[:500]
     assert second.returncode == 0
     assert first.stdout == second.stdout
+    assert hashlib.sha256(first.stdout).hexdigest() == VERIFY_ALL_SEED_7_SHA256
     payload = json.loads(first.stdout)
     assert payload["counts"]["FAIL"] == 0
     done(12, f"({payload['counts']['PASS']} checks, byte-identical)")

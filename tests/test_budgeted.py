@@ -6,12 +6,12 @@ import pytest
 from ddmlab import engine, measures, symbolic
 from ddmlab.budgeted import (
     BudgetedProblem,
-    ParetoFront,
     brute_force_psi,
     psi_budgeted,
     psi_chain,
     psi_eps_grid,
     psi_signed,
+    prune,
 )
 from ddmlab.covers import TruncationConfig, cover_cost
 from ddmlab.engine import phi_truncated
@@ -323,16 +323,25 @@ def test_concatenated_witnesses_bound_the_union_value():
     assert checked > 0
 
 
-def test_pareto_front_type_rejects_dominated_vectors():
-    ParetoFront(((F(0), F(1)), (F(1), F(0))))
-    with pytest.raises(RejectedInputError):
-        ParetoFront(((F(0), F(0)), (F(1), F(0))))
+def test_prune_drops_dominated_and_duplicate_vectors():
+    antichain = [((F(1), F(0)), "b"), ((F(0), F(1)), "a")]
+    assert prune(antichain) == [((F(0), F(1)), "a"), ((F(1), F(0)), "b")]
+    items = [((F(1), F(0)), "x"), ((F(0), F(0)), "y"), ((F(0), F(0)), "z")]
+    assert prune(items) == [((F(0), F(0)), "y")]
+    # the kept vectors and their order do not depend on the input order
+    rng = random.Random(5)
+    vectors = [(F(rng.randint(0, 3)), F(rng.randint(0, 3))) for _ in range(12)]
+    kept = [vec for vec, _ in prune([(vec, None) for vec in vectors])]
+    for _ in range(5):
+        rng.shuffle(vectors)
+        assert [vec for vec, _ in prune([(vec, None) for vec in vectors])] == kept
+    assert kept == sorted(kept)
+    for u in kept:
+        assert not any(u != v and all(a <= b for a, b in zip(v, u)) for v in kept)
 
 
 def test_signed_vectors_survive_pruning():
     # a vector with a negative objective must not be pruned by a smaller
     # positive one
-    from ddmlab.budgeted import prune
-
     kept = prune([((F(-1), F(2)), "a"), ((F(0), F(1)), "b")])
     assert len(kept) == 2

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ddmlab
 from ddmlab.cli import main
 
 SPEC = {
@@ -176,3 +181,25 @@ def test_resource_cap_exit_code(tmp_path, capsys):
     code, out = run(capsys, "chain", "--spec", str(path))
     assert code == 3
     assert json.loads(out)["kind"] == "resource"
+
+
+def test_forged_price_is_an_internal_error_under_optimize_flag():
+    # the certificate re-check is explicit code, so python -O keeps it
+    script = (
+        "import sys\n"
+        "from ddmlab import cli, covers\n"
+        "assert False, 'asserts must be off'\n"
+        "real = covers.cover_cost\n"
+        "covers.cover_cost = lambda c, mu: real(c, mu) + 1\n"
+        "sys.exit(cli.main(['phi']))\n"
+    )
+    src = str(Path(ddmlab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+    )
+    assert done.returncode == 4, done.stderr
+    payload = json.loads(done.stdout)
+    assert payload["kind"] == "internal"
+    assert "prices cost component 0" in payload["error"]
