@@ -3,8 +3,9 @@
 Commands take their payload from the spec file's ``commands`` section, so a
 run is reproducible from the file alone; flags only select the command, the
 output format, the seed, and display options.  Exit codes: 0 ok, 1 fail
-verdict, 2 input error, 3 resource cap, 4 internal error (a computed
-result failed its re-check).
+verdict, 2 input error, 3 resource cap (node, front, enumeration,
+chain-length or window bitset cap), 4 internal error (a computed result
+failed its re-check).
 """
 
 from __future__ import annotations
@@ -18,11 +19,13 @@ from . import engine, examples, measures, suites
 from .budgeted import BudgetedProblem, psi_budgeted, psi_chain, psi_eps_grid, psi_signed
 from .covers import TruncationConfig
 from .errors import (
+    BitsetCapError,
     BudgetExceededError,
     CertificateError,
     DimensionCapError,
     InfeasibleError,
     LabError,
+    RejectedInputError,
     TooLargeError,
 )
 from .specfile import (
@@ -303,10 +306,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.decimal is not None and args.decimal < 0:
+            raise RejectedInputError(f"--decimal K must be nonnegative, got {args.decimal}")
         spec = load_spec(args.spec) if args.spec else default_spec()
         payload = spec.commands.get(args.command, {})
         out, code = COMMANDS[args.command](spec, payload, args)
-    except (BudgetExceededError, TooLargeError, DimensionCapError) as exc:
+    except (BitsetCapError, BudgetExceededError, TooLargeError, DimensionCapError) as exc:
         print(json.dumps({"error": str(exc), "kind": "resource"}, sort_keys=True))
         return EXIT_RESOURCE
     except InfeasibleError as exc:

@@ -53,7 +53,7 @@ class Frame:
     floor0: int  # grading floor of level 0
     wlo: int  # left edge of the working cells
     whi: int  # right edge of working cells and of every entry window
-    cells: tuple[tuple[int, ...], ...]  # query cells on [wlo, whi], rank order
+    cells: tuple[int, ...]  # ranks of the query cells on [wlo, whi], ascending
 
     def floor(self, m: int) -> int:
         return self.floor0 + m
@@ -65,7 +65,7 @@ class Frame:
 def build_frame(
     q: symbolic.WindowSet, cfg: TruncationConfig, base_graded: bool = False
 ) -> Frame | None:
-    """Resolve windows and materialize the query cells; None for empty Q."""
+    """Resolve windows and list the query cells by rank; None for empty Q."""
     if q.is_empty:
         return None
     floor0 = 0 if base_graded else cfg.base_shift
@@ -82,35 +82,37 @@ def build_frame(
     if whi < max(qhi, floor0):
         raise RejectedInputError("window override must contain the query window")
     window = symbolic.Window(wlo, whi)
-    cells = tuple(q.words_on(window))
+    cells = tuple(q.ranks_on(window))
     return Frame(q.n, cfg.depth, cfg.base_shift, floor0, wlo, whi, cells)
 
 
-def _groups(cells, position):
+def _groups(frame: Frame, cells, position):
     """Split a cell block by the symbol at a word position, symbol order."""
+    n, place = frame.n, frame.n ** (frame.whi - frame.wlo - position)
     buckets: dict[int, list] = {}
     for cell in cells:
-        buckets.setdefault(cell[position], []).append(cell)
+        buckets.setdefault(cell // place % n, []).append(cell)
     return sorted(buckets.items())
 
 
 def _cylinder(frame: Frame, m: int, word: tuple[int, ...]) -> symbolic.WindowSet:
-    fl = frame.floor(m)
-    return symbolic.WindowSet.from_words(
-        frame.n, symbolic.Window(fl, frame.whi), [word]
-    )
+    window = symbolic.Window(frame.floor(m), frame.whi)
+    return symbolic.WindowSet(frame.n, window, 1 << symbolic.word_rank(frame.n, word))
 
 
 def _roots(frame: Frame):
-    pos0 = frame.floor0 - frame.wlo
-    return [(tuple(cells[0][pos0:]), cells) for _, cells in _group_by_suffix(frame.cells, pos0)]
+    return _group_by_suffix(frame, frame.cells, frame.floor0 - frame.wlo)
 
 
-def _group_by_suffix(cells, position):
-    buckets: dict[tuple[int, ...], list] = {}
+def _group_by_suffix(frame: Frame, cells, position):
+    """Split a cell block by its word from a position on, as (suffix word,
+    cells) pairs in rank order."""
+    length = frame.whi - frame.wlo + 1 - position
+    size = frame.n ** length
+    buckets: dict[int, list] = {}
     for cell in cells:
-        buckets.setdefault(cell[position:], []).append(cell)
-    return sorted(buckets.items())
+        buckets.setdefault(cell % size, []).append(cell)
+    return [(symbolic.rank_word(frame.n, length, r), group) for r, group in sorted(buckets.items())]
 
 
 # -- the take-or-split walk --------------------------------------------
@@ -180,7 +182,8 @@ def _walk(frame: Frame, comps, keep, node_cap: int):
             return options
         position = frame.floor(m) - 1 - frame.wlo
         fronts = [
-            rec((symbol,) + word, group, m - 1) for symbol, group in _groups(cells, position)
+            rec((symbol,) + word, group, m - 1)
+            for symbol, group in _groups(frame, cells, position)
         ]
         return keep(options + _combine(fronts, keep))
 
@@ -277,7 +280,7 @@ def phi_paren_truncated(
 
 def _leaves(frame: Frame, cells):
     position = frame.floor(-frame.depth) - frame.wlo
-    return [suffix for suffix, _ in _group_by_suffix(cells, position)]
+    return [suffix for suffix, _ in _group_by_suffix(frame, cells, position)]
 
 
 def _labeling_costs(frame: Frame, comps):
@@ -356,7 +359,7 @@ def brute_force_phi_overlapping(
     pool = []
     for m in range(0, -frame.depth - 1, -1):
         position = frame.floor(m) - frame.wlo
-        for suffix, group in _group_by_suffix(cells, position):
+        for suffix, group in _group_by_suffix(frame, cells, position):
             mask = 0
             for cell in group:
                 mask |= 1 << index[cell]
@@ -382,7 +385,8 @@ def brute_force_phi_overlapping(
                 search(covered | mask, cost + entry_cost)
 
     search(0, ZERO)
-    assert best[0] is not None
+    if best[0] is None:
+        raise CertificateError("the cylinder pool does not cover the query")
     return best[0]
 
 

@@ -9,6 +9,11 @@ class RejectedInputError(LabError, ValueError):
     """Input violates a structural precondition (bad window, bad config, ...)."""
 
 
+class BitsetCapError(RejectedInputError):
+    """A window holds more word cells than the bitset cap: a resource limit,
+    not a malformed input."""
+
+
 class NegativeCoordinateError(LabError, ValueError):
     """Set depends on a coordinate below 0, outside the base algebra."""
 

@@ -5,7 +5,9 @@ Every measure here is an evaluator of cylinders supported on coordinates
 values are exact rationals; no floating point enters any value path.
 
 The graded family attached to a base measure phi is phi_m = phi . S^m for
-m <= 0, evaluated through :func:`eval_shifted`.
+m <= 0, evaluated through :func:`eval_shifted`.  Shifted pricing never
+builds the shifted set: it reads the set's canonical words once and prices
+each at its coordinate minus m, so a set costs O(words x word length).
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from typing import Sequence
 
 from . import symbolic
 from .errors import (
+    CertificateError,
     GradingViolationError,
     NegativeCoordinateError,
     NotIrreducibleError,
@@ -62,6 +65,9 @@ class MarkovMeasure(CylinderMeasure):
                 raise NotStochasticError("matrix row does not sum to one")
         self.symbols = n
         self._marginals = {0: self.pi}
+        # transitions as (numerator, denominator) pairs: a path product is
+        # taken over integers and reduced once
+        self._steps = tuple(tuple((x.numerator, x.denominator) for x in row) for row in self.a)
 
     def __repr__(self):
         return f"MarkovMeasure(pi={self.pi}, a={self.a})"
@@ -77,10 +83,14 @@ class MarkovMeasure(CylinderMeasure):
         return self._marginals[lo]
 
     def cell_value(self, lo: int, word: tuple[int, ...]) -> Fraction:
-        value = self._marginal(lo)[word[0]]
+        start = self._marginal(lo)[word[0]]
+        num, den = start.numerator, start.denominator
+        steps = self._steps
         for k in range(len(word) - 1):
-            value *= self.a[word[k]][word[k + 1]]
-        return value
+            p, q = steps[word[k]][word[k + 1]]
+            num *= p
+            den *= q
+        return Fraction(num, den)
 
 
 class DiracMeasure(CylinderMeasure):
@@ -126,15 +136,19 @@ class BernoulliMeasure(CylinderMeasure):
         if any(x < 0 for x in self.p) or sum(self.p) != 1:
             raise RejectedInputError("weights are not a distribution")
         self.symbols = len(self.p)
+        self._steps = tuple((x.numerator, x.denominator) for x in self.p)
 
     def __repr__(self):
         return f"BernoulliMeasure({self.p})"
 
     def cell_value(self, lo: int, word: tuple[int, ...]) -> Fraction:
-        value = ONE
+        num = den = 1
+        steps = self._steps
         for symbol in word:
-            value *= self.p[symbol]
-        return value
+            p, q = steps[symbol]
+            num *= p
+            den *= q
+        return Fraction(num, den)
 
 
 class CesaroMeasure(CylinderMeasure):
@@ -181,9 +195,12 @@ class ConvexMeasure(CylinderMeasure):
         return f"ConvexMeasure({self.weights}, {self.parts})"
 
     def cell_value(self, lo: int, word: tuple[int, ...]) -> Fraction:
-        return sum(
-            (w * p.cell_value(lo, word) for w, p in zip(self.weights, self.parts)), ZERO
-        )
+        total = ZERO
+        for w, part in zip(self.weights, self.parts):
+            value = part.cell_value(lo, word)
+            if value:  # a part that misses the cell adds nothing
+                total += w * value
+        return total
 
 
 class SignedDiffMeasure(CylinderMeasure):
@@ -213,6 +230,21 @@ def cesaro(mu: CylinderMeasure, n: int) -> CylinderMeasure:
     return CesaroMeasure(mu, n)
 
 
+def _cell_sum(mu: CylinderMeasure, n: int, key, m: int) -> Fraction:
+    """Sum of the cell values of a canonical key's words, each read m
+    coordinates to the right, in rank order."""
+    lo, hi, bits = key
+    at, span = lo - m, hi - lo + 1
+    if not bits & (bits - 1):
+        return mu.cell_value(at, symbolic.rank_word(n, span, bits.bit_length() - 1))
+    total = ZERO
+    while bits:
+        low = bits & -bits
+        total += mu.cell_value(at, symbolic.rank_word(n, span, low.bit_length() - 1))
+        bits ^= low
+    return total
+
+
 def eval0(mu: CylinderMeasure, s: symbolic.WindowSet) -> Fraction:
     """Value of the base set function on a window set over coordinates >= 0.
 
@@ -231,23 +263,29 @@ def eval0(mu: CylinderMeasure, s: symbolic.WindowSet) -> Fraction:
         raise NegativeCoordinateError(
             f"set depends on coordinate {lo} below the base algebra"
         )
-    return sum((mu.cell_value(lo, word) for word in s.iter_words()), ZERO)
+    return _cell_sum(mu, s.n, key, 0)
 
 
 def eval_shifted(mu: CylinderMeasure, m: int, s: symbolic.WindowSet) -> Fraction:
     """Value of the grade-m member of the shifted family, phi . S^m.
 
-    Requires m <= 0 and the set determined on coordinates >= m.
+    Requires m <= 0 and the set determined on coordinates >= m.  The set's
+    canonical words are priced at their coordinates minus m; the shifted
+    set itself is never built.
     """
     if m > 0:
         raise RejectedInputError("grades are nonpositive")
-    if s.is_degenerate:
+    key = s.canonical_key()
+    if key in (("empty",), ("full",)):
         return eval0(mu, s)
-    if s.min_coordinate() < m:
-        raise GradingViolationError(
-            f"set depends on coordinate {s.min_coordinate()} below grade {m}"
-        )
-    return eval0(mu, symbolic.shift(s, m))
+    if key[0] < m:
+        raise GradingViolationError(f"set depends on coordinate {key[0]} below grade {m}")
+    # the shifted window must stay inside the coordinate bound (its left
+    # edge moves right, so only the right edge can leave it)
+    symbolic._check_coordinate(s.window.hi - m)
+    if mu.symbols != s.n:
+        raise RejectedInputError("set and measure alphabets disagree")
+    return _cell_sum(mu, s.n, key, m)
 
 
 def _reachable(a: Sequence[Sequence[Fraction]], start: int, transpose: bool) -> set[int]:
@@ -294,7 +332,8 @@ def stationary_distribution(a: Sequence[Sequence]) -> tuple[Fraction, ...]:
                 factor = rows[r][col]
                 rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
     pi = tuple(rows[r][n] for r in range(n))
-    assert sum(pi) == 1
+    if sum(pi) != 1:
+        raise CertificateError(f"elimination left a vector of mass {sum(pi)}, not 1")
     return pi
 
 

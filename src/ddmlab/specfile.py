@@ -17,6 +17,11 @@ from . import measures, symbolic
 from .covers import TruncationConfig
 from .errors import RejectedInputError
 
+
+class _UnknownMeasureName(RejectedInputError):
+    """A measure record references a name not (yet) defined."""
+
+
 _RATIONAL = re.compile(r"^\s*(-?\d+)\s*(?:/\s*(\d+)\s*)?$")
 
 
@@ -147,7 +152,7 @@ class _SetParser:
 def parse_measure(record, named: dict, n: int) -> measures.CylinderMeasure:
     if isinstance(record, str):
         if record not in named:
-            raise RejectedInputError(f"unknown measure name {record!r}")
+            raise _UnknownMeasureName(f"unknown measure name {record!r}")
         return named[record]
     if not isinstance(record, dict) or "kind" not in record:
         raise RejectedInputError(f"measure record needs a kind: {record!r}")
@@ -234,14 +239,16 @@ def parse_spec(raw: dict) -> ProblemSpec:
     n = alphabet.size
     named: dict = {}
     pending = dict(raw.get("measures", {}))
-    # named measures may reference each other; resolve until stable
+    # named measures may reference each other; resolve until stable.  Only a
+    # reference to a name not yet resolved leaves a measure pending: every
+    # other error is the record's own defect and is raised as it is.
     progress = True
     while pending and progress:
         progress = False
         for name in list(pending):
             try:
                 named[name] = parse_measure(pending[name], named, n)
-            except RejectedInputError:
+            except _UnknownMeasureName:
                 continue
             del pending[name]
             progress = True

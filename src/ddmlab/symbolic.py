@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import RejectedInputError
+from .errors import BitsetCapError, RejectedInputError
 
 MAX_ABS_COORDINATE = 64
 MAX_CELLS = 1 << 22
@@ -74,7 +74,7 @@ class Window:
 def _cell_count(n: int, window: Window) -> int:
     count = n ** window.span
     if count > MAX_CELLS:
-        raise RejectedInputError(
+        raise BitsetCapError(
             f"window span {window.span} over {n} symbols exceeds the bitset cap"
         )
     return count
@@ -248,15 +248,20 @@ class WindowSet:
             lo -= 1
         return bits
 
-    def words_on(self, window: Window) -> Iterator[tuple[int, ...]]:
-        """Yield the member words materialized on ``window``, rank order."""
+    def ranks_on(self, window: Window) -> Iterator[int]:
+        """Yield the ranks of the member words materialized on ``window``,
+        ascending."""
         bits = self.bits_on(window)
-        span = window.span
         while bits:
             low = bits & -bits
-            r = low.bit_length() - 1
-            yield rank_word(self.n, span, r)
+            yield low.bit_length() - 1
             bits ^= low
+
+    def words_on(self, window: Window) -> Iterator[tuple[int, ...]]:
+        """Yield the member words materialized on ``window``, rank order."""
+        span = window.span
+        for r in self.ranks_on(window):
+            yield rank_word(self.n, span, r)
 
     def iter_words(self) -> Iterator[tuple[int, ...]]:
         """Member words on the canonical window (empty for degenerate sets)."""
@@ -295,6 +300,10 @@ def _canonical_key(n: int, window: Window | None, bits: int, full: bool):
     if bits == (1 << total) - 1:
         return ("full",)
     lo, hi = window.lo, window.hi
+    if not bits & (bits - 1):
+        # one word (n > 1 here: over one symbol every set is empty or full):
+        # each end coordinate splits it from a nonmember sibling word
+        return (lo, hi, bits)
     changed = True
     while changed and hi > lo:
         changed = False

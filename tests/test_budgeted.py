@@ -18,7 +18,7 @@ from ddmlab.engine import phi_truncated
 from ddmlab.errors import DimensionCapError, InfeasibleError, RejectedInputError
 from ddmlab.measures import BernoulliMeasure, DiracMeasure, SignedDiffMeasure, cesaro, eval0
 from ddmlab.suites import random_measure, random_window_set
-from ddmlab.symbolic import WindowSet
+from ddmlab.symbolic import Window, WindowSet
 
 CHAIN_A = ((F(1, 2), F(1, 2)), (F(1, 4), F(3, 4)))
 ALT = DiracMeasure(2, (0, 1))
@@ -39,7 +39,7 @@ def overlapping_budgeted_oracle(problem):
     frame = engine.build_frame(problem.q, problem.cfg)
     comps = [problem.objective] + [m for m, _ in problem.constraints]
     bounds = [b for _, b in problem.constraints]
-    cells = frame.cells
+    cells = list(problem.q.words_on(Window(frame.wlo, frame.whi)))
     index = {cell: k for k, cell in enumerate(cells)}
     pool = []
     for m in range(0, -frame.depth - 1, -1):

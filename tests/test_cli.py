@@ -132,6 +132,24 @@ def test_unknown_name_is_an_input_error(spec_path, capsys, tmp_path):
     assert json.loads(out)["kind"] == "input"
 
 
+def test_negative_decimal_is_an_input_error(capsys):
+    code, out = run(capsys, "eval", "--decimal", "-2")
+    lines = out.strip().splitlines()
+    assert code == 2 and len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["kind"] == "input" and "--decimal" in payload["error"]
+
+
+def test_bitset_cap_is_a_resource_error(capsys, tmp_path):
+    phi = {"measure": "point", "set": "all", "depths": [30], "widths": [10], "shifts": [0]}
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(dict(SPEC, commands={"phi": phi})))
+    code, out = run(capsys, "phi", "--spec", str(path))
+    payload = json.loads(out)
+    assert code == 3
+    assert payload["kind"] == "resource" and "bitset cap" in payload["error"]
+
+
 def test_missing_file_is_an_input_error(capsys):
     code, out = run(capsys, "eval", "--spec", "/nonexistent.json")
     assert code == 2

@@ -100,6 +100,16 @@ def test_unresolvable_references_are_reported():
         parse_spec({"alphabet": 2, "measures": {"a": {"kind": "cesaro", "base": "b", "n": 1}}})
 
 
+def test_a_malformed_measure_reports_its_own_defect():
+    bad = {"kind": "markov", "pi": ["1/2", "1/3"], "A": [["1/2", "1/2"], ["1/2", "1/2"]]}
+    with pytest.raises(RejectedInputError, match="initial vector is not a distribution"):
+        parse_spec({"alphabet": 2, "measures": {"m": bad}})
+    # a defect behind a forward reference is reported too
+    with pytest.raises(RejectedInputError, match="initial vector is not a distribution"):
+        parse_spec({"alphabet": 2, "measures": {
+            "a": {"kind": "cesaro", "base": "m", "n": 1}, "m": bad}})
+
+
 def test_load_spec_from_file(tmp_path):
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(SPEC))
