@@ -44,7 +44,6 @@ from .symbolic import (
     complement,
     difference,
     intersection,
-    min_coordinate,
     project_min,
     refine,
     set_algebra,

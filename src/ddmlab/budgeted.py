@@ -23,7 +23,7 @@ from functools import partial
 from operator import itemgetter
 
 from . import engine, measures, symbolic
-from .covers import TruncationConfig, ValueCertificate
+from .covers import Cover, TruncationConfig, ValueCertificate
 from .engine import prune
 from .errors import DimensionCapError, InfeasibleError, RejectedInputError
 
@@ -50,20 +50,20 @@ class BudgetedProblem:
         )
 
 
-def _front(q, comps, cfg, base_graded, node_cap, front_cap):
+def _front(q, comps, cfg, node_cap, front_cap):
     """Frame and root Pareto front of a query; (None, None) when it is empty."""
-    frame = engine.build_frame(q, cfg, base_graded)
+    frame = engine.build_frame(q, cfg)
     if frame is None:
         return None, None
     return frame, engine._walk(frame, comps, partial(prune, cap=front_cap), node_cap)
 
 
-def _cheapest_feasible(q, comps, bounds, cfg, base_graded, frame, front):
+def _cheapest_feasible(q, comps, bounds, cfg, frame, front):
     """Certificate of the cheapest option of a root front whose components
     1..k stay strictly below ``bounds``."""
     if frame is None:
         if all(b > 0 for b in bounds):
-            empty = engine._cover((), cfg.base_shift, base_graded)
+            empty = Cover((), base_shift=cfg.base_shift)
             return ValueCertificate(ZERO, empty, cfg, (ZERO,) * len(comps))
         raise InfeasibleError("empty set infeasible under a nonpositive budget")
     feasible = [opt for opt in front if all(c < b for c, b in zip(opt[0][1:], bounds))]
@@ -72,12 +72,11 @@ def _cheapest_feasible(q, comps, bounds, cfg, base_graded, frame, front):
             f"no cover meets the budgets {bounds} at this truncation"
         )
     best = min(feasible, key=itemgetter(0))
-    return engine._certificate(q, comps, cfg, frame, best, base_graded, vector=True)
+    return engine._certificate(q, comps, cfg, frame, best, base_graded=False, vector=True)
 
 
 def psi_budgeted(
     p: BudgetedProblem,
-    base_graded: bool = False,
     node_cap: int = engine.NODE_CAP,
     front_cap: int = engine.FRONT_CAP,
 ) -> ValueCertificate:
@@ -88,13 +87,12 @@ def psi_budgeted(
     """
     comps = [p.objective] + [m for m, _ in p.constraints]
     bounds = [b for _, b in p.constraints]
-    frame, front = _front(p.q, comps, p.cfg, base_graded, node_cap, front_cap)
-    return _cheapest_feasible(p.q, comps, bounds, p.cfg, base_graded, frame, front)
+    frame, front = _front(p.q, comps, p.cfg, node_cap, front_cap)
+    return _cheapest_feasible(p.q, comps, bounds, p.cfg, frame, front)
 
 
 def brute_force_psi(
     p: BudgetedProblem,
-    base_graded: bool = False,
     leaf_cap: int = 16,
     labeling_cap: int = 400_000,
 ) -> tuple[Fraction, tuple[Fraction, ...]]:
@@ -102,7 +100,7 @@ def brute_force_psi(
     classes jointly, filter by the strict budgets, take the best objective."""
     comps = [p.objective] + [m for m, _ in p.constraints]
     bounds = [b for _, b in p.constraints]
-    frame = engine.build_frame(p.q, p.cfg, base_graded)
+    frame = engine.build_frame(p.q, p.cfg)
     if frame is None:
         if all(b > 0 for b in bounds):
             return ZERO, (ZERO,) * len(comps)
@@ -147,67 +145,47 @@ def psi_eps_grid(
 ) -> EpsGridResult:
     """Budgeted values over a slack-by-shift grid, with monotonicity flags.
 
-    All cells share one absolute grading floor (min(i_list) - depth) and one
-    working window, and one budget base: the truncated unconstrained optimum
-    over the deepest class plus the cell's slack.  With that convention the
-    feasible classes nest along both axes, so exact monotonicity holds with
-    infeasible cells read as plus infinity: values never decrease as the
-    slack shrinks, and never decrease as the shift moves away from zero.
-    Each shift's front is solved once and filtered for every slack.
+    The cells at each shift use that shift's config from
+    :func:`engine.shift_sweep`, so ``cfg`` carries only the depth and the
+    width.  All cells share one budget base: the truncated unconstrained
+    optimum over the deepest class plus the cell's slack.  With that
+    convention the feasible classes nest along both axes, so exact
+    monotonicity holds with infeasible cells read as plus infinity: values
+    never decrease as the slack shrinks, and never decrease as the shift
+    moves away from zero.  Each shift's front is solved once and filtered
+    for every slack.
     """
     eps_list = tuple(Fraction(e) for e in eps_list)
     i_list = tuple(int(i) for i in i_list)
+    if not eps_list:
+        raise RejectedInputError("the slack list is empty")
     if any(e <= 0 for e in eps_list) or list(eps_list) != sorted(eps_list, reverse=True):
         raise RejectedInputError("slacks must be positive and decreasing")
-    if any(i > 0 for i in i_list) or list(i_list) != sorted(i_list, reverse=True):
-        raise RejectedInputError("shifts must be nonpositive and nonincreasing")
-    floor_abs = min(i_list) - cfg.depth
-    wlo, whi = engine.shared_bounds(q, i_list, cfg.depth, cfg.width)
-    deepest = TruncationConfig(
-        cfg.depth, cfg.width, min(i_list), window_lo=wlo, window_hi=whi
-    )
-    surrogate = engine.phi_truncated(q, phi, deepest).value
+    for name, unset in (("base_shift", 0), ("window_lo", None), ("window_hi", None)):
+        if getattr(cfg, name) != unset:
+            raise RejectedInputError(
+                "the grid sets the shifts and the working window itself, so its "
+                f"config carries only depth and width, not {name}={getattr(cfg, name)}"
+            )
+    sweep = engine.shift_sweep(q, i_list, cfg.depth, cfg.width)
+    surrogate = engine.phi_truncated(q, phi, sweep[-1]).value
     comps = [psi, phi]
-    fronts = {}
-    for i in i_list:
-        cell_cfg = TruncationConfig(
-            i - floor_abs, cfg.width, i, window_lo=wlo, window_hi=whi
-        )
-        fronts[i] = (cell_cfg,) + _front(
-            q, comps, cell_cfg, False, engine.NODE_CAP, engine.FRONT_CAP
-        )
+    fronts = [
+        (cell_cfg,) + _front(q, comps, cell_cfg, engine.NODE_CAP, engine.FRONT_CAP)
+        for cell_cfg in sweep
+    ]
     cells = {}
     for eps in eps_list:
-        for i in i_list:
-            cell_cfg, frame, front = fronts[i]
+        for i, (cell_cfg, frame, front) in zip(i_list, fronts):
             try:
                 cells[(eps, i)] = _cheapest_feasible(
-                    q, comps, [surrogate + eps], cell_cfg, False, frame, front
+                    q, comps, [surrogate + eps], cell_cfg, frame, front
                 )
             except InfeasibleError:
                 cells[(eps, i)] = None
-
-    def val(eps, i):
-        cert = cells[(eps, i)]
-        return None if cert is None else cert.value
-
-    def le(a, b):  # a <= b with None as +infinity
-        if b is None:
-            return True
-        if a is None:
-            return False
-        return a <= b
-
-    eps_ok = all(
-        le(val(eps_list[k], i), val(eps_list[k + 1], i))
-        for i in i_list
-        for k in range(len(eps_list) - 1)
-    )
-    i_ok = all(
-        le(val(eps, i_list[k]), val(eps, i_list[k + 1]))
-        for eps in eps_list
-        for k in range(len(i_list) - 1)
-    )
+    values = {key: None if cert is None else cert.value for key, cert in cells.items()}
+    eps_ok = all(engine.nondecreasing([values[(eps, i)] for eps in eps_list]) for i in i_list)
+    i_ok = all(engine.nondecreasing([values[(eps, i)] for i in i_list]) for eps in eps_list)
     return EpsGridResult(eps_list, i_list, surrogate, cells, eps_ok, i_ok)
 
 

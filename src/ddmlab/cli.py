@@ -213,14 +213,7 @@ def _report_payload(reports) -> tuple[dict, int]:
     for report in reports:
         for check in report.checks:
             counts[check.verdict] += 1
-            checks.append(
-                {
-                    "suite": report.title,
-                    "name": check.name,
-                    "verdict": check.verdict,
-                    "detail": check.detail,
-                }
-            )
+            checks.append({"suite": report.title, **check.as_dict()})
     ok = counts["FAIL"] == 0
     payload = {"checks": checks, "counts": counts, "ok": ok}
     return payload, EXIT_OK if ok else EXIT_FAIL
@@ -243,7 +236,7 @@ def cmd_example(spec: ProblemSpec, payload: dict, args) -> tuple[dict, int]:
         samples = suites.example_sample_sets(args.seed, spec.n)
         report = examples.example_two(sample_sets=samples, **kwargs)
     else:
-        raise KeyError(name)
+        raise RejectedInputError(f"unknown example {name!r}; known examples: e1, e2")
     out, code = _report_payload([report])
     out["command"] = "example"
     out["name"] = name

@@ -62,6 +62,25 @@ class Frame:
         return self.base_shift + m
 
 
+def _window(q: symbolic.WindowSet, cfg: TruncationConfig, floor0: int) -> tuple[int, int]:
+    """Working window (wlo, whi) of a query whose level 0 is graded at
+    ``floor0``: the config's pinned edges, else the hull of the query and
+    the deepest floor, widened ``cfg.width`` coordinates to the right."""
+    key = q.canonical_key()
+    if key in (("full",), ("empty",)):
+        qlo = qhi = floor0
+    else:
+        qlo, qhi = key[0], key[1]
+    floor_d = floor0 - cfg.depth
+    wlo = min(qlo, floor_d) if cfg.window_lo is None else cfg.window_lo
+    whi = max(qhi, floor0) + cfg.width if cfg.window_hi is None else cfg.window_hi
+    if wlo > min(qlo, floor_d):
+        raise RejectedInputError("window override must reach the grading floor and the query")
+    if whi < max(qhi, floor0):
+        raise RejectedInputError("window override must contain the query window")
+    return wlo, whi
+
+
 def build_frame(
     q: symbolic.WindowSet, cfg: TruncationConfig, base_graded: bool = False
 ) -> Frame | None:
@@ -69,20 +88,8 @@ def build_frame(
     if q.is_empty:
         return None
     floor0 = 0 if base_graded else cfg.base_shift
-    floor_d = floor0 - cfg.depth
-    key = q.canonical_key()
-    if key == ("full",):
-        qlo = qhi = floor0
-    else:
-        qlo, qhi = key[0], key[1]
-    wlo = min(qlo, floor_d) if cfg.window_lo is None else cfg.window_lo
-    whi = max(qhi, floor0) + cfg.width if cfg.window_hi is None else cfg.window_hi
-    if wlo > min(qlo, floor_d):
-        raise RejectedInputError("window override must reach the grading floor and the query")
-    if whi < max(qhi, floor0):
-        raise RejectedInputError("window override must contain the query window")
-    window = symbolic.Window(wlo, whi)
-    cells = tuple(q.ranks_on(window))
+    wlo, whi = _window(q, cfg, floor0)
+    cells = tuple(q.ranks_on(symbolic.Window(wlo, whi)))
     return Frame(q.n, cfg.depth, cfg.base_shift, floor0, wlo, whi, cells)
 
 
@@ -397,7 +404,6 @@ def brute_force_phi_overlapping(
 class GridRow:
     shift: int
     certificate: ValueCertificate
-    shift_covariant: bool
 
 
 @dataclass(frozen=True)
@@ -406,19 +412,34 @@ class GridResult:
     nonincreasing_toward_zero: bool  # value at i  <=  value at i-1, all adjacent pairs
 
 
-def shared_bounds(q, i_list, depth, width, base_graded=False):
-    """One working window for a whole grid, so classes nest across shifts."""
-    i_top, i_bot = max(i_list), min(i_list)
-    floor0_top = 0 if base_graded else i_top
-    floor_d = (0 if base_graded else i_bot) - depth
-    key = q.canonical_key()
-    if key in (("full",), ("empty",)):
-        qlo = qhi = floor0_top
-    else:
-        qlo, qhi = key[0], key[1]
-    wlo = min(qlo, floor_d)
-    whi = max(qhi, floor0_top) + width
-    return wlo, whi
+def shift_sweep(
+    q: symbolic.WindowSet, i_list, depth: int, width: int
+) -> list[TruncationConfig]:
+    """One pinned truncation per shift of a grid, in the order of ``i_list``.
+
+    Every config grades its deepest level at the shared floor
+    min(i_list) - depth and works on the window of the top shift, which
+    holds the window of every other shift, so the cover classes nest
+    across the sweep.
+    """
+    if not i_list:
+        raise RejectedInputError("the shift list is empty")
+    if any(i > 0 for i in i_list) or list(i_list) != sorted(i_list, reverse=True):
+        raise RejectedInputError("shifts must be nonpositive and nonincreasing")
+    floor_abs = min(i_list) - depth
+    top = i_list[0]
+    wlo, whi = _window(q, TruncationConfig(top - floor_abs, width, top), top)
+    return [
+        TruncationConfig(i - floor_abs, width, i, window_lo=wlo, window_hi=whi)
+        for i in i_list
+    ]
+
+
+def nondecreasing(values) -> bool:
+    """Whether a sequence never decreases, reading None as plus infinity."""
+    return all(
+        b is None or (a is not None and a <= b) for a, b in zip(values, values[1:])
+    )
 
 
 def phi_grid(
@@ -430,32 +451,23 @@ def phi_grid(
 ) -> GridResult:
     """Truncated values across a grid of base shifts.
 
-    All cells share one absolute grading floor (min(i_list) - depth) and one
-    working window, so the cover classes nest and the reported sequence is
-    provably nonincreasing toward more negative shifts being larger.  Each
-    cell is cross-checked against the shift image of the query at base 0,
-    which must agree exactly.
+    The cells are the configs of :func:`shift_sweep`, so the cover classes
+    nest and the value at each shift is at most the value at the next, more
+    negative, shift.  Each cell is cross-checked against the shift image of
+    the query at base 0, which must agree exactly.
     """
-    if any(i > 0 for i in i_list) or list(i_list) != sorted(i_list, reverse=True):
-        raise RejectedInputError("shifts must be nonpositive and nonincreasing")
-    floor_abs = min(i_list) - depth
-    wlo, whi = shared_bounds(q, i_list, depth, width)
     rows = []
-    for i in i_list:
-        cfg = TruncationConfig(i - floor_abs, width, i, window_lo=wlo, window_hi=whi)
+    for cfg in shift_sweep(q, i_list, depth, width):
+        i = cfg.base_shift
         cert = phi_truncated(q, phi, cfg)
         cfg0 = TruncationConfig(
-            i - floor_abs, width, 0, window_lo=wlo - i, window_hi=whi - i
+            cfg.depth, width, 0, window_lo=cfg.window_lo - i, window_hi=cfg.window_hi - i
         )
         mirrored = phi_truncated(symbolic.shift(q, i), phi, cfg0)
-        covariant = mirrored.value == cert.value
-        if not covariant:
+        if mirrored.value != cert.value:
             raise CertificateError(
                 f"shift covariance failed at i={i}: {cert.value} vs {mirrored.value}"
             )
-        rows.append(GridRow(i, cert, covariant))
-    monotone = all(
-        rows[k].certificate.value <= rows[k + 1].certificate.value
-        for k in range(len(rows) - 1)
-    )
-    return GridResult(tuple(rows), monotone)
+        rows.append(GridRow(i, cert))
+    values = [row.certificate.value for row in rows]
+    return GridResult(tuple(rows), nondecreasing(values))

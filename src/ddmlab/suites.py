@@ -13,7 +13,7 @@ from fractions import Fraction
 from . import engine, examples, measures, symbolic, verify
 from .budgeted import BudgetedProblem, brute_force_psi, psi_budgeted, psi_eps_grid, psi_signed
 from .covers import Cover, TruncationConfig, cover_cost, disjointify, is_valid_cover
-from .errors import InfeasibleError
+from .errors import InfeasibleError, RejectedInputError
 from .verify import FiniteAlgebra, Report
 
 F = Fraction
@@ -582,5 +582,6 @@ def run_suite(name: str, seed: int) -> list[Report]:
     if name == "all":
         return [SUITES[key](seed) for key in sorted(SUITES)]
     if name not in SUITES:
-        raise KeyError(name)
+        known = ", ".join(["all"] + sorted(SUITES))
+        raise RejectedInputError(f"unknown suite {name!r}; known suites: {known}")
     return [SUITES[name](seed)]

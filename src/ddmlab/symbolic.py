@@ -419,10 +419,6 @@ def shift(s: WindowSet, i: int) -> WindowSet:
     return WindowSet(s.n, window, s.bits)
 
 
-def min_coordinate(s: WindowSet) -> int | float:
-    return s.min_coordinate()
-
-
 def project_min(s: WindowSet, g: int) -> WindowSet:
     """Smallest set determined on coordinates >= g that contains ``s``.
 

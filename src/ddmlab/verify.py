@@ -58,13 +58,6 @@ class Report:
     def ok(self) -> bool:
         return not self.failed
 
-    def as_dict(self):
-        return {
-            "title": self.title,
-            "ok": self.ok,
-            "checks": [c.as_dict() for c in self.checks],
-        }
-
 
 class SetFunctionHandle:
     """A labelled evaluator WindowSet -> Fraction with a value cache.

@@ -13,8 +13,11 @@ import sys
 import time
 from fractions import Fraction as F
 
+import pytest
+
 from ddmlab import measures, suites, verify
 from ddmlab.budgeted import BudgetedProblem, psi_budgeted, psi_eps_grid, psi_signed
+from ddmlab.cli import main
 from ddmlab.covers import TruncationConfig, cover_cost, disjointify
 from ddmlab.engine import brute_force_phi, brute_force_phi_overlapping, phi_truncated
 from ddmlab.measures import DiracMeasure, eval0
@@ -26,6 +29,14 @@ X = WindowSet.full_space(2)
 # SHA-256 of the stdout of `python -m ddmlab verify all --seed 7`; a change
 # that alters the verification output on purpose records the new digest
 VERIFY_ALL_SEED_7_SHA256 = "667168b3d94ee395e7b4c89705a65e9a94a43177b6a06cf3d7a94c0b2a94aa04"
+# SHA-256 of the stdout of `python -m ddmlab <command> --witness` on the
+# built-in spec, pinned the same way
+CLI_WITNESS_SHA256 = {
+    "eval": "e6c94e5d06cb25ce1922071f86b06ec58fe113675b72e046a6f299aa0bce2b00",
+    "phi": "3edfd204fd6a69709a421fb6b5ca9207e8bec1f9b35528a944b7397f83dc6eb0",
+    "psi": "05e7310b02ec4e0d25a6fb687a7027e5fd8283313eb93d9cadbc6f419ca636f5",
+    "chain": "c87ea234d0198a3159f5c690e051ead94c40cb729d55a1c8c6cd18b3642470de",
+}
 
 
 class Clock:
@@ -269,3 +280,10 @@ def test_criterion_12_byte_identical_verification():
     payload = json.loads(first.stdout)
     assert payload["counts"]["FAIL"] == 0
     done(12, f"({payload['counts']['PASS']} checks, byte-identical)")
+
+
+@pytest.mark.parametrize("command", sorted(CLI_WITNESS_SHA256))
+def test_cli_tables_are_byte_identical(command, capsys):
+    assert main([command, "--witness"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == CLI_WITNESS_SHA256[command]

@@ -194,6 +194,22 @@ class TestEpsGrid:
         with pytest.raises(RejectedInputError):
             psi_eps_grid(X, ALT, ALT, [F(1)], [-1, 0], TruncationConfig(1))
 
+    def test_empty_lists_are_rejected(self):
+        with pytest.raises(RejectedInputError, match="slack list is empty"):
+            psi_eps_grid(X, ALT, ALT, [], [0], TruncationConfig(1))
+        with pytest.raises(RejectedInputError, match="shift list is empty"):
+            psi_eps_grid(X, ALT, ALT, [F(1)], [], TruncationConfig(1))
+
+    def test_config_carries_only_depth_and_width(self):
+        # the grid sets the shifts and the window, so other fields are refused
+        for cfg, name in (
+            (TruncationConfig(1, 0, -1), "base_shift"),
+            (TruncationConfig(1, 0, 0, window_lo=-9), "window_lo"),
+            (TruncationConfig(1, 0, 0, window_hi=9), "window_hi"),
+        ):
+            with pytest.raises(RejectedInputError, match=name):
+                psi_eps_grid(X, ALT, ALT, [F(1)], [0, -1], cfg)
+
 
 class TestChains:
     def test_single_level_reduces_to_the_budgeted_optimum(self):
@@ -297,8 +313,7 @@ def test_concatenated_witnesses_bound_the_union_value():
         q2 = cyl(0, 1)
         union = symbolic.union(q1, q2)
         eps = F(1, 2)
-        wlo, whi = engine.shared_bounds(union, [0], 1, 0)
-        cfg = TruncationConfig(1, 0, 0, window_lo=wlo, window_hi=whi)
+        [cfg] = engine.shift_sweep(union, [0], 1, 0)
         parts = []
         for q, slack in ((q1, eps / 2), (q2, eps / 4)):
             base = phi_truncated(q, phi, cfg).value

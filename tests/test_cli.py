@@ -221,3 +221,41 @@ def test_forged_price_is_an_internal_error_under_optimize_flag():
     payload = json.loads(done.stdout)
     assert payload["kind"] == "internal"
     assert "prices cost component 0" in payload["error"]
+
+
+def _psi_run(capsys, tmp_path, **changes):
+    spec = dict(SPEC)
+    spec["configs"] = {"c": dict(SPEC["configs"]["c"], **changes.pop("config", {}))}
+    spec["commands"] = {"psi": dict(SPEC["commands"]["psi"], **changes)}
+    path = tmp_path / "psi.json"
+    path.write_text(json.dumps(spec))
+    code, out = run(capsys, "psi", "--spec", str(path))
+    return code, json.loads(out)
+
+
+@pytest.mark.parametrize(
+    "changes, named",
+    [
+        ({"config": {"base_shift": -1}}, "base_shift"),
+        ({"config": {"window_lo": -9, "window_hi": 9}}, "window_lo"),
+        ({"shifts": []}, "shift list"),
+        ({"eps": []}, "slack list"),
+    ],
+)
+def test_psi_grid_input_the_grid_cannot_use_is_an_input_error(
+    capsys, tmp_path, changes, named
+):
+    code, payload = _psi_run(capsys, tmp_path, **changes)
+    assert code == 2
+    assert payload["kind"] == "input" and named in payload["error"]
+
+
+@pytest.mark.parametrize(
+    "argv, known",
+    [(["verify", "foo"], "known suites: all, "), (["example", "e3"], "known examples: e1, e2")],
+)
+def test_unknown_names_are_named_in_the_error(capsys, argv, known):
+    code, out = run(capsys, *argv)
+    payload = json.loads(out)
+    assert code == 2 and payload["kind"] == "input"
+    assert repr(argv[1]) in payload["error"] and known in payload["error"]

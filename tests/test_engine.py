@@ -12,7 +12,7 @@ from ddmlab.engine import (
     phi_paren_truncated,
     phi_truncated,
 )
-from ddmlab.errors import BudgetExceededError, RejectedInputError, TooLargeError
+from ddmlab.errors import BudgetExceededError, CertificateError, RejectedInputError, TooLargeError
 from ddmlab.measures import BernoulliMeasure, DiracMeasure, MarkovMeasure, eval0
 from ddmlab.suites import random_measure, random_window_set
 from ddmlab.symbolic import WindowSet
@@ -108,8 +108,33 @@ class TestShiftCovariance:
             q = random_window_set(rng, 2, lo_range=(-1, 1), max_span=2)
             phi = random_measure(rng, 2)
             result = phi_grid(q, phi, 1, 0, [0, -1, -2])
-            assert all(row.shift_covariant for row in result.rows)
             assert result.nonincreasing_toward_zero
+
+    def test_grid_rejects_a_mirrored_value_that_disagrees(self, monkeypatch):
+        # the mirrored solve prices the complement, so covariance must fail
+        monkeypatch.setattr(engine.symbolic, "shift", lambda s, i: symbolic.complement(s))
+        with pytest.raises(CertificateError, match="shift covariance"):
+            phi_grid(cyl(0, 0), chain(), 1, 0, [0, -1])
+
+    def test_empty_shift_list_is_rejected(self):
+        with pytest.raises(RejectedInputError, match="shift list is empty"):
+            phi_grid(cyl(0, 0), ALT, 1, 0, [])
+
+    def test_sweep_pins_the_top_cells_window(self):
+        # every cell shares the floor min(i) - D and the top cell's window,
+        # which holds the window each cell would get on its own
+        rng = random.Random(113)
+        for _ in range(25):
+            q = random_window_set(rng, 2, lo_range=(-1, 1), max_span=2)
+            if q.is_empty:
+                continue
+            sweep = engine.shift_sweep(q, [0, -1, -3], 2, 1)
+            top = engine.build_frame(q, TruncationConfig(5, 1, 0))
+            for cfg in sweep:
+                assert cfg.base_shift - cfg.depth == -5
+                assert (cfg.window_lo, cfg.window_hi) == (top.wlo, top.whi)
+                own = engine.build_frame(q, TruncationConfig(cfg.depth, 1, cfg.base_shift))
+                assert top.wlo <= own.wlo and own.whi <= top.whi
 
     def test_stationary_grid_is_constant(self):
         result = phi_grid(cyl(0, 0), chain(), 2, 0, [0, -1, -2])
@@ -229,7 +254,8 @@ class TestBaseGradedVariant:
         for _ in range(15):
             q = random_window_set(rng, 2, lo_range=(0, 1), max_span=2)
             phi = random_measure(rng, 2)
-            wlo, whi = engine.shared_bounds(q, [0], 3, 0, base_graded=True)
+            [pinned] = engine.shift_sweep(q, [0], 3, 0)
+            wlo, whi = pinned.window_lo, pinned.window_hi
             for depth, i in ((1, 0), (2, -1)):
                 shallow = phi_paren_truncated(
                     q, phi,

@@ -62,11 +62,11 @@ class TestCanonicalForm:
         assert wide.canonicalize().window == Window(0, 0)
 
     def test_min_coordinate(self):
-        assert symbolic.min_coordinate(cyl(0, 0)) == 0
+        assert cyl(0, 0).min_coordinate() == 0
         probe = symbolic.intersection(cyl(-3, 1), cyl(2, 0))
-        assert symbolic.min_coordinate(probe) == -3
-        assert symbolic.min_coordinate(X) == math.inf
-        assert symbolic.min_coordinate(EMPTY) == math.inf
+        assert probe.min_coordinate() == -3
+        assert X.min_coordinate() == math.inf
+        assert EMPTY.min_coordinate() == math.inf
 
 
 class TestRefine:
@@ -155,8 +155,8 @@ class TestShift:
         for _ in range(100):
             s = random_set(rng)
             i = rng.randint(-2, 2)
-            before = symbolic.min_coordinate(s)
-            after = symbolic.min_coordinate(symbolic.shift(s, i))
+            before = s.min_coordinate()
+            after = symbolic.shift(s, i).min_coordinate()
             if before != math.inf:
                 assert after == before - i
 
