@@ -58,9 +58,21 @@ def _front(q, comps, cfg, node_cap, front_cap):
     return frame, engine._walk(frame, comps, partial(prune, cap=front_cap), node_cap)
 
 
-def _cheapest_feasible(q, comps, bounds, cfg, frame, front):
+def _certify(q, comps, cfg, frame, option, certified):
+    """Certificate of a root option, re-checked through the window-set path
+    once per ``certified`` dict.  The dict is keyed by the option's identity,
+    so it must not outlive the front that holds the option."""
+    cert = certified.get(id(option))
+    if cert is None:
+        cert = engine._certificate(q, comps, cfg, frame, option, base_graded=False, vector=True)
+        certified[id(option)] = cert
+    return cert
+
+
+def _cheapest_feasible(q, comps, bounds, cfg, frame, front, certified=None):
     """Certificate of the cheapest option of a root front whose components
-    1..k stay strictly below ``bounds``."""
+    1..k stay strictly below ``bounds``; a caller filtering one front for
+    several bounds passes one ``certified`` dict to re-check each option once."""
     if frame is None:
         if all(b > 0 for b in bounds):
             empty = Cover((), base_shift=cfg.base_shift)
@@ -72,7 +84,7 @@ def _cheapest_feasible(q, comps, bounds, cfg, frame, front):
             f"no cover meets the budgets {bounds} at this truncation"
         )
     best = min(feasible, key=itemgetter(0))
-    return engine._certificate(q, comps, cfg, frame, best, base_graded=False, vector=True)
+    return _certify(q, comps, cfg, frame, best, {} if certified is None else certified)
 
 
 def psi_budgeted(
@@ -153,7 +165,7 @@ def psi_eps_grid(
     monotonicity holds with infeasible cells read as plus infinity: values
     never decrease as the slack shrinks, and never decrease as the shift
     moves away from zero.  Each shift's front is solved once and filtered
-    for every slack.
+    for every slack, and each option a cell picks is re-checked once.
     """
     eps_list = tuple(Fraction(e) for e in eps_list)
     i_list = tuple(int(i) for i in i_list)
@@ -175,11 +187,12 @@ def psi_eps_grid(
         for cell_cfg in sweep
     ]
     cells = {}
+    certified: dict = {}  # shared by every cell, so each option is re-checked once
     for eps in eps_list:
         for i, (cell_cfg, frame, front) in zip(i_list, fronts):
             try:
                 cells[(eps, i)] = _cheapest_feasible(
-                    q, comps, [surrogate + eps], cell_cfg, frame, front
+                    q, comps, [surrogate + eps], cell_cfg, frame, front, certified
                 )
             except InfeasibleError:
                 cells[(eps, i)] = None

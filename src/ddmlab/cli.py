@@ -5,7 +5,8 @@ run is reproducible from the file alone; flags only select the command, the
 output format, the seed, and display options.  Exit codes: 0 ok, 1 fail
 verdict, 2 input error, 3 resource cap (node, front, enumeration,
 chain-length or window bitset cap), 4 internal error (a computed result
-failed its re-check).
+failed its re-check, or any other unexpected exception, whose traceback
+goes to stderr).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from fractions import Fraction
 
 from . import engine, examples, measures, suites
@@ -103,9 +105,17 @@ def _maybe_decimal(payload: dict, value: Fraction, digits: int | None):
         payload["decimal"] = decimal_string(value, digits)
 
 
+def _field(payload: dict, command: str, name: str, alternative: str = ""):
+    """A required field of a command's payload, named in the error when missing."""
+    if name not in payload:
+        also = f" or {alternative!r}" if alternative else ""
+        raise RejectedInputError(f"the {command} command needs a {name!r}{also} field")
+    return payload[name]
+
+
 def cmd_eval(spec: ProblemSpec, payload: dict, args) -> tuple[dict, int]:
-    mu = spec.measure(payload["measure"])
-    s = spec.window_set(payload["set"])
+    mu = spec.measure(_field(payload, "eval", "measure"))
+    s = spec.window_set(_field(payload, "eval", "set"))
     value = measures.eval0(mu, s)
     out = {
         "command": "eval",
@@ -118,8 +128,8 @@ def cmd_eval(spec: ProblemSpec, payload: dict, args) -> tuple[dict, int]:
 
 
 def cmd_phi(spec: ProblemSpec, payload: dict, args) -> tuple[dict, int]:
-    mu = spec.measure(payload["measure"])
-    q = spec.window_set(payload["set"])
+    mu = spec.measure(_field(payload, "phi", "measure"))
+    q = spec.window_set(_field(payload, "phi", "set"))
     depths = [int(d) for d in payload.get("depths", [1])]
     widths = [int(w) for w in payload.get("widths", [0])]
     shifts = [int(i) for i in payload.get("shifts", [0])]
@@ -144,13 +154,16 @@ def cmd_phi(spec: ProblemSpec, payload: dict, args) -> tuple[dict, int]:
 
 
 def cmd_psi(spec: ProblemSpec, payload: dict, args) -> tuple[dict, int]:
-    psi = spec.measure(payload["objective"])
-    q = spec.window_set(payload["set"])
+    psi = spec.measure(_field(payload, "psi", "objective"))
+    q = spec.window_set(_field(payload, "psi", "set"))
     cfg = spec.config(payload.get("config", {"depth": 1}))
     if "constraints" in payload:
         # explicit strict bounds instead of the slack-by-shift grid
         constraints = tuple(
-            (spec.measure(c["measure"]), parse_rational(c["bound"]))
+            (
+                spec.measure(_field(c, "psi constraint", "measure")),
+                parse_rational(_field(c, "psi constraint", "bound")),
+            )
             for c in payload["constraints"]
         )
         cert = psi_budgeted(BudgetedProblem(q, psi, constraints, cfg))
@@ -159,8 +172,8 @@ def cmd_psi(spec: ProblemSpec, payload: dict, args) -> tuple[dict, int]:
         if args.witness:
             out["witness"] = witness_payload(cert.witness)
         return out, EXIT_OK
-    phi = spec.measure(payload["phi"])
-    eps_list = [parse_rational(e) for e in payload["eps"]]
+    phi = spec.measure(_field(payload, "psi", "phi", alternative="constraints"))
+    eps_list = [parse_rational(e) for e in _field(payload, "psi", "eps")]
     shifts = [int(i) for i in payload.get("shifts", [0])]
     grid = psi_eps_grid(q, psi, phi, eps_list, shifts, cfg)
     rows = []
@@ -187,11 +200,11 @@ def cmd_psi(spec: ProblemSpec, payload: dict, args) -> tuple[dict, int]:
 
 
 def cmd_chain(spec: ProblemSpec, payload: dict, args) -> tuple[dict, int]:
-    phi = spec.measure(payload["phi"])
-    q = spec.window_set(payload["set"])
+    phi = spec.measure(_field(payload, "chain", "phi"))
+    q = spec.window_set(_field(payload, "chain", "set"))
     cfg = spec.config(payload.get("config", {"depth": 1}))
     eps = parse_rational(payload.get("eps", "1/2"))
-    objectives = [spec.measure(name) for name in payload["objectives"]]
+    objectives = [spec.measure(name) for name in _field(payload, "chain", "objectives")]
     scales = payload.get("c")
     if scales is None:
         certs = psi_chain(q, phi, objectives, eps, cfg)
@@ -316,6 +329,12 @@ def main(argv=None) -> int:
     except (LabError, KeyError, OSError, json.JSONDecodeError, ValueError) as exc:
         print(json.dumps({"error": str(exc), "kind": "input"}, sort_keys=True))
         return EXIT_INPUT
+    except Exception as exc:
+        # a defect of the program, never a verdict: name it, keep the traceback
+        traceback.print_exc()
+        error = f"{type(exc).__name__}: {exc}"
+        print(json.dumps({"error": error, "kind": "internal"}, sort_keys=True))
+        return EXIT_INTERNAL
     if args.out == "csv":
         sys.stdout.write(render_csv(out))
     else:

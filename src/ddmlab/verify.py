@@ -10,6 +10,7 @@ sufficient.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -78,7 +79,7 @@ class SetFunctionHandle:
     def __call__(self, s: symbolic.WindowSet) -> Fraction:
         key = (s.n, s.canonical_key())
         if key not in self._cache:
-            self._cache[key] = self._evaluator(s)
+            self._cache[key] = self._evaluator(s.canonicalize())
         return self._cache[key]
 
 
@@ -108,16 +109,32 @@ def psi_handle(
     cfg: TruncationConfig,
 ) -> SetFunctionHandle:
     """Budgeted optimum at slack eps, budget base the per-query truncated
-    unconstrained optimum, all at one fixed truncation."""
-    from .budgeted import BudgetedProblem, psi_budgeted
+    unconstrained optimum, all at one fixed truncation.
+
+    Each query walks its tree once, for the root front over [psi, phi].  The
+    budget base is the front's least phi component: pruning keeps every
+    nondominated vector, and the least of the phi-minimal vectors is never
+    dominated, so that component is the truncated phi optimum.  The option
+    attaining the base is re-checked through the window-set path like the
+    chosen option, each distinct option once per query.
+    """
+    from .budgeted import _certify, _cheapest_feasible, _front
 
     if cfg.window_lo is None or cfg.window_hi is None:
         raise RejectedInputError("handle configs must pin the working window")
+    if not phi.nonnegative:
+        raise RejectedInputError("cover optimization needs a nonnegative measure")
     eps = Fraction(eps)
+    comps = [psi, phi]
 
     def evaluator(s):
-        base = engine.phi_truncated(s, phi, cfg).value
-        return psi_budgeted(BudgetedProblem(s, psi, ((phi, base + eps),), cfg)).value
+        frame, front = _front(s, comps, cfg, engine.NODE_CAP, engine.FRONT_CAP)
+        certified: dict = {}
+        base = ZERO
+        if frame is not None:
+            least = min(front, key=lambda option: option[0][1])
+            base = _certify(s, comps, cfg, frame, least, certified).vector[1]
+        return _cheapest_feasible(s, comps, [base + eps], cfg, frame, front, certified).value
 
     return SetFunctionHandle(label, evaluator, psi.symbols)
 
@@ -151,15 +168,16 @@ class FiniteAlgebra:
         atom_masks = sorted(atoms.values())
         if 1 << len(atom_masks) > cap:
             raise TooLargeError("algebra closure exceeded the cap")
-        members = set()
+        members = {}
         for pick in range(1 << len(atom_masks)):
             bits = 0
             for k, mask in enumerate(atom_masks):
                 if (pick >> k) & 1:
                     bits |= mask
-            members.add(symbolic.WindowSet(n, window, bits).canonicalize())
+            members[symbolic.WindowSet(n, window, bits).canonicalize()] = bits
         self.members = sorted(members, key=lambda s: s.canonical_key().__repr__())
         self._window = window  # also the hull of the members' windows
+        self._bits = [members[s] for s in self.members]  # each member on the window
 
     def __len__(self):
         return len(self.members)
@@ -182,10 +200,37 @@ def caratheodory_measurable(
     """Does ``a`` split every test set additively under ``mu``?
 
     Returns the first violating test set with both side values on failure.
+    Each test set is split as a bitset on the hull of the algebra's window
+    and ``a``'s canonical window.
     """
-    for q in tests:
-        whole = mu(q)
-        split = mu(symbolic.intersection(q, a)) + mu(symbolic.difference(q, a))
+    if a.n != tests.n:
+        raise RejectedInputError("operands live over different alphabets")
+    key = a.canonical_key()
+    lo, hi = tests._window.lo, tests._window.hi
+    if len(tests) == 2:
+        # only the empty and full sets: the algebra's window is a placeholder
+        lo, hi = (key[0], key[1]) if len(key) == 3 else (0, 0)
+    elif len(key) == 3:
+        lo, hi = min(lo, key[0]), max(hi, key[1])
+    hull = symbolic.Window(lo, hi)
+    a_bits = a.bits_on(hull)
+    outside = ~a_bits
+    n = tests.n
+    values: dict = {}  # bitset on the hull -> value, for this call only
+
+    def value(bits):
+        v = values.get(bits)
+        if v is None:
+            v = values[bits] = mu(symbolic.WindowSet(n, hull, bits))
+        return v
+
+    if hull == tests._window:
+        bits_list = tests._bits
+    else:
+        bits_list = [q.bits_on(hull) for q in tests]
+    for q, q_bits in zip(tests, bits_list):
+        whole = values[q_bits] = mu(q)
+        split = value(q_bits & a_bits) + value(q_bits & outside)
         if whole != split:
             return SplitResult(False, q, whole, split)
     return SplitResult(True)
@@ -196,13 +241,20 @@ def check_splitting_closure(mu: SetFunctionHandle, algebra: FiniteAlgebra) -> Re
     complement and disjoint union, with ``mu`` finitely additive on it."""
     report = Report(f"splitting family closure under {mu.label}")
     # mu is evaluated once per member; closure under the Boolean operations
-    # lets every split be looked up as plain bitset arithmetic
-    bits_list = [member.bits_on(algebra._window) for member in algebra.members]
-    values = {bits: mu(member) for member, bits in zip(algebra.members, bits_list)}
+    # lets every split be looked up as plain bitset arithmetic, and scaling
+    # the values by the lcm of their denominators makes every sum and
+    # comparison one on integers
+    bits_list = algebra._bits
+    fractions = [mu(member) for member in algebra.members]
+    scale = math.lcm(*(v.denominator for v in fractions))
+    values = {
+        bits: v.numerator * (scale // v.denominator) for bits, v in zip(bits_list, fractions)
+    }
     mask = (1 << (algebra.n ** algebra._window.span)) - 1
     passing = []
     for a in bits_list:
-        if all(values[q] == values[q & a] + values[q & ~a & mask] for q in bits_list):
+        outside = ~a & mask
+        if all(values[q] == values[q & a] + values[q & outside] for q in bits_list):
             passing.append(a)
     passing_set = set(passing)
     comp_ok = all((~a & mask) in passing_set for a in passing)

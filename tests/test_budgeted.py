@@ -188,6 +188,48 @@ class TestEpsGrid:
             assert grid.nondecreasing_as_eps_shrinks
             assert grid.nondecreasing_as_i_decreases
 
+    def test_cells_equal_budgeted_solves_at_the_sweep_configs(self, monkeypatch):
+        rng = random.Random(307)
+        checks = []
+        certificate = engine._certificate
+
+        def counted(q, comps, *rest, **kwargs):
+            if len(comps) == 2:
+                checks.append(1)
+            return certificate(q, comps, *rest, **kwargs)
+
+        monkeypatch.setattr(engine, "_certificate", counted)
+        eps_list = [F(1), F(1, 2), F(1, 4), F(1, 8)]
+        i_list = [0, -1, -2]
+        shared = 0
+        for _ in range(10):
+            q = random_window_set(rng, 2, lo_range=(-1, 1), max_span=2)
+            phi = random_measure(rng, 2, rng.choice(["markov", "bernoulli", "dirac"]))
+            psi = random_measure(rng, 2)
+            del checks[:]
+            grid = psi_eps_grid(q, psi, phi, eps_list, i_list, TruncationConfig(1, 0, 0))
+            # each distinct option a cell picks is re-checked once; within
+            # one shift's front an option is known by its vector
+            picked = {(i, cert.vector) for (_, i), cert in grid.cells.items()
+                      if cert is not None}
+            assert len(checks) == len(picked)
+            shared += len(picked) < len(grid.cells)
+            sweep = engine.shift_sweep(q, i_list, 1, 0)
+            for eps in eps_list:
+                for i, cfg in zip(i_list, sweep):
+                    cell = grid.cells[(eps, i)]
+                    problem = BudgetedProblem(q, psi, ((phi, grid.phi_surrogate + eps),), cfg)
+                    if cell is None:
+                        with pytest.raises(InfeasibleError):
+                            psi_budgeted(problem)
+                        continue
+                    cert = psi_budgeted(problem)
+                    assert (cell.value, cell.vector) == (cert.value, cert.vector)
+                    assert [(m, e.literal()) for m, e in cell.witness.entries] == [
+                        (m, e.literal()) for m, e in cert.witness.entries
+                    ]
+        assert shared >= 1
+
     def test_input_validation(self):
         with pytest.raises(RejectedInputError):
             psi_eps_grid(X, ALT, ALT, [F(1, 2), F(1)], [0], TruncationConfig(1))

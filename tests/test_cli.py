@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import ddmlab
+from ddmlab import cli
 from ddmlab.cli import main
 
 SPEC = {
@@ -259,3 +260,33 @@ def test_unknown_names_are_named_in_the_error(capsys, argv, known):
     payload = json.loads(out)
     assert code == 2 and payload["kind"] == "input"
     assert repr(argv[1]) in payload["error"] and known in payload["error"]
+
+
+@pytest.mark.parametrize(
+    "command, payload, named",
+    [
+        ("eval", {"set": "zero"}, "'measure'"),
+        ("psi", {"objective": "avg1", "set": "all", "eps": ["1"]}, "'phi' or 'constraints'"),
+    ],
+)
+def test_missing_command_field_is_named(capsys, tmp_path, command, payload, named):
+    path = tmp_path / "missing.json"
+    path.write_text(json.dumps(dict(SPEC, commands={command: payload})))
+    code, out = run(capsys, command, "--spec", str(path))
+    payload = json.loads(out)
+    assert code == 2 and payload["kind"] == "input"
+    assert f"the {command} command" in payload["error"] and named in payload["error"]
+
+
+def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
+    def broken(spec, payload, args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli.COMMANDS, "eval", broken)
+    code = main(["eval"])
+    captured = capsys.readouterr()
+    lines = captured.out.strip().splitlines()
+    assert code == 4 and len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload == {"error": "RuntimeError: boom", "kind": "internal"}
+    assert "Traceback" in captured.err and "boom" in captured.err

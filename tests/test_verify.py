@@ -3,11 +3,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from ddmlab import measures, symbolic, verify
+from ddmlab import engine, measures, symbolic, verify
+from ddmlab.budgeted import BudgetedProblem, psi_budgeted
 from ddmlab.covers import TruncationConfig
-from ddmlab.errors import RejectedInputError, TooLargeError
+from ddmlab.errors import InfeasibleError, RejectedInputError, TooLargeError
 from ddmlab.measures import BernoulliMeasure, DiracMeasure, cesaro, eval0, eval_shifted
-from ddmlab.suites import caratheodory_config
+from ddmlab.suites import caratheodory_config, random_measure, random_window_set
 from ddmlab.symbolic import Window, WindowSet
 from ddmlab.verify import (
     ApproxFamilySpec,
@@ -22,6 +23,7 @@ from ddmlab.verify import (
     measure_handle,
     norm_defect,
     phi_handle,
+    psi_handle,
 )
 
 CHAIN_A = ((F(1, 2), F(1, 2)), (F(1, 4), F(3, 4)))
@@ -34,6 +36,44 @@ def cyl(j, *word):
 
 def chain():
     return measures.stationary_markov(CHAIN_A)
+
+
+def max_handle(shift=-2):
+    """A non-additive set function: the larger of two shifted measures."""
+    deep_chain = lambda s: eval_shifted(chain(), shift, s)
+    deep_point = lambda s: eval_shifted(ALT, shift, s)
+    return SetFunctionHandle("max", lambda s: max(deep_chain(s), deep_point(s)), 2)
+
+
+def split_reference(mu, a, tests):
+    """caratheodory_measurable through set_algebra, as a tuple of its fields."""
+    for q in tests:
+        whole = mu(q)
+        split = mu(symbolic.intersection(q, a)) + mu(symbolic.difference(q, a))
+        if whole != split:
+            return False, q, whole, split
+    return True, None, None, None
+
+
+def closure_reference(mu, algebra):
+    """check_splitting_closure in Fraction arithmetic, as (name, verdict, detail)."""
+    members = algebra.members
+    bits_list = [m.bits_on(algebra._window) for m in members]
+    values = {bits: mu(m) for m, bits in zip(members, bits_list)}
+    mask = (1 << (algebra.n ** algebra._window.span)) - 1
+    passing = [
+        a for a in bits_list
+        if all(values[q] == values[q & a] + values[q & ~a & mask] for q in bits_list)
+    ]
+    kept = set(passing)
+    pairs = [(a, b) for a in passing for b in passing if not a & b]
+    return [
+        ("closed under complement", all((~a & mask) in kept for a in passing), ""),
+        ("closed under disjoint union", all((a | b) in kept for a, b in pairs), ""),
+        ("finitely additive on the family",
+         all(values[a | b] == values[a] + values[b] for a, b in pairs), ""),
+        ("family size", True, f"{len(passing)} of {len(members)} members pass"),
+    ]
 
 
 class TestFiniteAlgebra:
@@ -99,6 +139,118 @@ class TestCaratheodorySplitting:
     def test_handle_requires_pinned_windows(self):
         with pytest.raises(RejectedInputError):
             phi_handle("loose", ALT, TruncationConfig(1))
+
+    def test_closure_equals_the_fraction_reference(self):
+        # the max handle prices members at many denominators, so the
+        # integer scaling meets every per-member comparison both ways
+        deep_chain = SetFunctionHandle("deep chain", lambda s: eval_shifted(chain(), -3, s), 2)
+        for mu, gens in (
+            (deep_chain, [cyl(-1, 0), cyl(0, 0), cyl(0, 1, 0)]),
+            (max_handle(), [cyl(-1, 0), cyl(0, 0), cyl(0, 1, 0)]),
+            (max_handle(-3), [cyl(0, 0), cyl(1, 0)]),
+            (phi_handle("point mass optimum", ALT, caratheodory_config(depth=1)),
+             [cyl(-1, 0), cyl(0, 0), cyl(1, 0)]),
+        ):
+            algebra = FiniteAlgebra(2, gens)
+            report = check_splitting_closure(mu, algebra)
+            got = [(c.name, c.verdict == verify.PASS, c.detail) for c in report.checks]
+            assert got == closure_reference(mu, algebra)
+
+    def test_split_equals_the_set_algebra_formulation(self):
+        algebra = FiniteAlgebra(2, [cyl(-1, 0), cyl(0, 0), cyl(0, 1, 0)])
+        handles = [
+            SetFunctionHandle("deep chain", lambda s: eval_shifted(chain(), -3, s), 2),
+            phi_handle("point mass optimum", ALT, caratheodory_config(depth=1)),
+            max_handle(),
+        ]
+        sets = [
+            cyl(0, 1),
+            cyl(-1, 1),
+            cyl(2, 1),  # outside the algebra's window
+            cyl(-2, 1, 0),  # straddles its left edge
+            symbolic.complement(cyl(0, 0, 1)),
+            WindowSet.full_space(2),
+            WindowSet.empty(2),
+        ]
+        outcomes = set()
+        for mu in handles:
+            for a in sets:
+                result = caratheodory_measurable(mu, a, algebra)
+                got = (result.ok, result.counterexample, result.left, result.right)
+                assert got == split_reference(mu, a, algebra)
+                outcomes.add(result.ok)
+        assert outcomes == {True, False}
+
+    def test_split_on_an_algebra_of_the_empty_and_full_sets(self):
+        algebra = FiniteAlgebra(2, [WindowSet.full_space(2)])
+        assert len(algebra) == 2
+        mu = max_handle()
+        for a in (cyl(40, 1, 0), WindowSet.full_space(2), WindowSet.empty(2)):
+            result = caratheodory_measurable(mu, a, algebra)
+            got = (result.ok, result.counterexample, result.left, result.right)
+            assert got == split_reference(mu, a, algebra)
+
+    def test_split_rejects_another_alphabet(self):
+        algebra = FiniteAlgebra(2, [cyl(0, 0)])
+        with pytest.raises(RejectedInputError):
+            caratheodory_measurable(measure_handle("chain", chain()),
+                                    WindowSet.cylinder(3, 0, [2]), algebra)
+
+    def test_evaluators_see_canonical_sets(self):
+        seen = []
+        mu = SetFunctionHandle("spy", lambda s: seen.append(s) or F(0), 2)
+        wide = WindowSet(2, Window(-1, 1), cyl(0, 1).bits_on(Window(-1, 1)))
+        mu(wide)
+        assert seen[-1].window == Window(0, 0)
+
+
+class TestPsiHandle:
+    KINDS = ("dirac", "markov", "bernoulli", "cesaro", "convex")
+
+    def test_equals_the_budgeted_solve_at_the_truncated_base(self):
+        rng = random.Random(41)
+        checked = moved = 0
+        for depth in (0, 1, 2):
+            cfg = caratheodory_config(depth)
+            for kind in self.KINDS:
+                phi = random_measure(rng, 2, kind)
+                psi = random_measure(rng, 2)
+                eps = F(1, rng.choice([2, 4, 8]))
+                handle = psi_handle("psi", psi, phi, eps, cfg)
+                for _ in range(4):
+                    s = random_window_set(rng, 2, lo_range=(-1, 1), max_span=2,
+                                          allow_degenerate=True)
+                    base = engine.phi_truncated(s, phi, cfg).value
+                    try:
+                        cert = psi_budgeted(BudgetedProblem(s, psi, ((phi, base + eps),), cfg))
+                    except InfeasibleError:
+                        with pytest.raises(InfeasibleError):
+                            handle(s)
+                        continue
+                    assert handle(s) == cert.value
+                    checked += 1
+                    # the chosen option is not the one that attains the base
+                    moved += cert.vector[1] != base
+        assert checked >= 50 and moved >= 1
+
+    def test_signed_phi_is_rejected_when_the_handle_is_built(self):
+        signed = measures.SignedDiffMeasure(ALT, F(2), BernoulliMeasure((F(1, 2), F(1, 2))))
+        with pytest.raises(RejectedInputError, match="nonnegative"):
+            psi_handle("signed", chain(), signed, F(1, 2), caratheodory_config(depth=1))
+
+    def test_nonpositive_slack_fails_on_the_empty_set(self):
+        with pytest.raises(InfeasibleError):
+            psi_handle("tight", chain(), ALT, F(0), caratheodory_config(depth=1))
+
+    def test_one_tree_walk_per_evaluation(self, monkeypatch):
+        handle = psi_handle("psi", BernoulliMeasure((F(1, 3), F(2, 3))), chain(), F(1, 2),
+                            caratheodory_config(depth=2))
+        walks = []
+        walk = engine._walk
+        monkeypatch.setattr(engine, "_walk", lambda *args: walks.append(1) or walk(*args))
+        for k, s in enumerate([cyl(0, 0), cyl(-1, 1, 0), symbolic.complement(cyl(0, 1, 1))]):
+            handle(s)
+            assert len(walks) == k + 1
 
 
 class TestOuterMeasureAxioms:
