@@ -117,9 +117,7 @@ def brute_force_psi(
         if all(b > 0 for b in bounds):
             return ZERO, (ZERO,) * len(comps)
         raise InfeasibleError("empty set infeasible under a nonpositive budget")
-    leaves = [
-        leaf for _, cells in engine._roots(frame) for leaf in engine._leaves(frame, cells)
-    ]
+    leaves = [leaf for classes in engine._finest_classes(p.q, frame) for leaf in classes]
     costs = engine._labeling_costs(frame, comps)
     best = min(
         (

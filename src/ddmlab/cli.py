@@ -4,7 +4,7 @@ Commands take their payload from the spec file's ``commands`` section, so a
 run is reproducible from the file alone; flags only select the command, the
 output format, the seed, and display options.  Exit codes: 0 ok, 1 fail
 verdict, 2 input error, 3 resource cap (node, front, enumeration,
-chain-length or window bitset cap), 4 internal error (a computed result
+chain-length or bitset cap), 4 internal error (a computed result
 failed its re-check, or any other unexpected exception, whose traceback
 goes to stderr).
 """
@@ -33,9 +33,14 @@ from .errors import (
 from .specfile import (
     ProblemSpec,
     decimal_string,
+    expect_array,
+    expect_integers,
+    expect_object,
     format_rational,
     load_spec,
+    parse_matrix,
     parse_rational,
+    parse_rationals,
     witness_payload,
 )
 
@@ -130,9 +135,9 @@ def cmd_eval(spec: ProblemSpec, payload: dict, args) -> tuple[dict, int]:
 def cmd_phi(spec: ProblemSpec, payload: dict, args) -> tuple[dict, int]:
     mu = spec.measure(_field(payload, "phi", "measure"))
     q = spec.window_set(_field(payload, "phi", "set"))
-    depths = [int(d) for d in payload.get("depths", [1])]
-    widths = [int(w) for w in payload.get("widths", [0])]
-    shifts = [int(i) for i in payload.get("shifts", [0])]
+    depths = expect_integers(payload.get("depths", [1]), "depths")
+    widths = expect_integers(payload.get("widths", [0]), "widths")
+    shifts = expect_integers(payload.get("shifts", [0]), "shifts")
     base_graded = bool(payload.get("base_graded", False))
     solver = engine.phi_paren_truncated if base_graded else engine.phi_truncated
     rows = []
@@ -159,22 +164,22 @@ def cmd_psi(spec: ProblemSpec, payload: dict, args) -> tuple[dict, int]:
     cfg = spec.config(payload.get("config", {"depth": 1}))
     if "constraints" in payload:
         # explicit strict bounds instead of the slack-by-shift grid
-        constraints = tuple(
-            (
+        constraints = []
+        for c in expect_array(payload["constraints"], "constraints"):
+            c = expect_object(c, "a psi constraint")
+            constraints.append((
                 spec.measure(_field(c, "psi constraint", "measure")),
                 parse_rational(_field(c, "psi constraint", "bound")),
-            )
-            for c in payload["constraints"]
-        )
-        cert = psi_budgeted(BudgetedProblem(q, psi, constraints, cfg))
+            ))
+        cert = psi_budgeted(BudgetedProblem(q, psi, tuple(constraints), cfg))
         out = {"command": "psi", "value": format_rational(cert.value)}
         _maybe_decimal(out, cert.value, args.decimal)
         if args.witness:
             out["witness"] = witness_payload(cert.witness)
         return out, EXIT_OK
     phi = spec.measure(_field(payload, "psi", "phi", alternative="constraints"))
-    eps_list = [parse_rational(e) for e in _field(payload, "psi", "eps")]
-    shifts = [int(i) for i in payload.get("shifts", [0])]
+    eps_list = parse_rationals(_field(payload, "psi", "eps"), "eps")
+    shifts = expect_integers(payload.get("shifts", [0]), "shifts")
     grid = psi_eps_grid(q, psi, phi, eps_list, shifts, cfg)
     rows = []
     for eps in grid.eps_list:
@@ -204,12 +209,15 @@ def cmd_chain(spec: ProblemSpec, payload: dict, args) -> tuple[dict, int]:
     q = spec.window_set(_field(payload, "chain", "set"))
     cfg = spec.config(payload.get("config", {"depth": 1}))
     eps = parse_rational(payload.get("eps", "1/2"))
-    objectives = [spec.measure(name) for name in _field(payload, "chain", "objectives")]
+    objectives = [
+        spec.measure(name)
+        for name in expect_array(_field(payload, "chain", "objectives"), "objectives")
+    ]
     scales = payload.get("c")
     if scales is None:
         certs = psi_chain(q, phi, objectives, eps, cfg)
     else:
-        certs = psi_signed(q, phi, objectives, [parse_rational(c) for c in scales], eps, cfg)
+        certs = psi_signed(q, phi, objectives, parse_rationals(scales, "c"), eps, cfg)
     rows = []
     for level, cert in enumerate(certs, start=1):
         row = {"level": level, "value": format_rational(cert.value)}
@@ -234,18 +242,22 @@ def _report_payload(reports) -> tuple[dict, int]:
 
 def cmd_example(spec: ProblemSpec, payload: dict, args) -> tuple[dict, int]:
     name = args.name or payload.get("name", "e1")
-    params = payload.get("params", {})
+    params = expect_object(payload.get("params", {}), "params")
     if name == "e1":
+        truncations = params.get("truncations", [[1, 0], [2, 1], [3, 2]])
         report = examples.example_one(
-            ns=tuple(params.get("ns", (1, 2, 3, 4))),
-            truncations=tuple(tuple(t) for t in params.get("truncations", ((1, 0), (2, 1), (3, 2)))),
+            ns=tuple(expect_integers(params.get("ns", [1, 2, 3, 4]), "ns")),
+            truncations=tuple(
+                tuple(expect_integers(t, "a truncation"))
+                for t in expect_array(truncations, "truncations")
+            ),
         )
     elif name == "e2":
         kwargs = {}
         if "A" in params:
-            kwargs["a"] = tuple(tuple(parse_rational(x) for x in row) for row in params["A"])
+            kwargs["a"] = parse_matrix(params["A"])
         if "pi0" in params:
-            kwargs["pi0"] = tuple(parse_rational(x) for x in params["pi0"])
+            kwargs["pi0"] = parse_rationals(params["pi0"], "pi0")
         samples = suites.example_sample_sets(args.seed, spec.n)
         report = examples.example_two(sample_sets=samples, **kwargs)
     else:
@@ -315,7 +327,7 @@ def main(argv=None) -> int:
         if args.decimal is not None and args.decimal < 0:
             raise RejectedInputError(f"--decimal K must be nonnegative, got {args.decimal}")
         spec = load_spec(args.spec) if args.spec else default_spec()
-        payload = spec.commands.get(args.command, {})
+        payload = expect_object(spec.commands.get(args.command, {}), f"the {args.command} command")
         out, code = COMMANDS[args.command](spec, payload, args)
     except (BitsetCapError, BudgetExceededError, TooLargeError, DimensionCapError) as exc:
         print(json.dumps({"error": str(exc), "kind": "resource"}, sort_keys=True))

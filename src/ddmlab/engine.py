@@ -15,6 +15,21 @@ classes: a node at level m is a word over [floor(m), whi] met by Q; it is
 either charged whole at level m or split on coordinate floor(m) - 1 into
 its children at level m - 1, while m > -D.
 
+The frame is lazy.  It lists the query cells only on [min(qlo, floor0), whi],
+where qlo is the query's canonical left edge: a node graded at or left of
+qlo has a *full* subtree, since every left extension of its word lies in Q,
+so its children are the n symbols, generated without any cell list.  A
+node's cylinder is built only when the walk reaches it, and a long one is a
+tree-form window set (module ``symbolic``), so the bitset cap bites on the
+cell listing, not on the depth.  Every node of a tree is
+priced at one coordinate, which lets a full subtree be bounded: when every
+cost component is either 0 at the node or made of parts that take the node
+whole in their transfer operator's decision table
+(:class:`measures.DecisionTable`) or price it at 0, taking the node attains
+the subtree's optimum and its children are not expanded.  Take wins ties
+in every keep rule, so the bound changes no value, witness or front.
+Components that may be negative are never bounded.
+
 One walk of this tree serves every optimizer.  Each node returns a front of
 (cost vector, trace) options, one cost component per measure, reduced by a
 ``keep`` rule: the scalar problem is the one-component case that keeps the
@@ -51,9 +66,10 @@ class Frame:
     depth: int
     base_shift: int
     floor0: int  # grading floor of level 0
-    wlo: int  # left edge of the working cells
-    whi: int  # right edge of working cells and of every entry window
-    cells: tuple[int, ...]  # ranks of the query cells on [wlo, whi], ascending
+    qlo: int  # query's canonical left edge (floor0 for the full space)
+    wlo: int  # left edge of the working window, at or left of every floor
+    whi: int  # right edge of the working window and of every entry window
+    cells: tuple[int, ...]  # ranks of the query cells on [min(qlo, floor0), whi], ascending
 
     def floor(self, m: int) -> int:
         return self.floor0 + m
@@ -62,15 +78,20 @@ class Frame:
         return self.base_shift + m
 
 
-def _window(q: symbolic.WindowSet, cfg: TruncationConfig, floor0: int) -> tuple[int, int]:
-    """Working window (wlo, whi) of a query whose level 0 is graded at
-    ``floor0``: the config's pinned edges, else the hull of the query and
-    the deepest floor, widened ``cfg.width`` coordinates to the right."""
+def _edges(q: symbolic.WindowSet, floor0: int) -> tuple[int, int]:
+    """The query's canonical window, read as [floor0, floor0] for a
+    degenerate set."""
     key = q.canonical_key()
     if key in (("full",), ("empty",)):
-        qlo = qhi = floor0
-    else:
-        qlo, qhi = key[0], key[1]
+        return floor0, floor0
+    return key[0], key[1]
+
+
+def _window(cfg: TruncationConfig, floor0: int, qlo: int, qhi: int) -> tuple[int, int]:
+    """Working window (wlo, whi) of a query with edges (qlo, qhi) whose
+    level 0 is graded at ``floor0``: the config's pinned edges, else the
+    hull of the query and the deepest floor, widened ``cfg.width``
+    coordinates to the right."""
     floor_d = floor0 - cfg.depth
     wlo = min(qlo, floor_d) if cfg.window_lo is None else cfg.window_lo
     whi = max(qhi, floor0) + cfg.width if cfg.window_hi is None else cfg.window_hi
@@ -84,42 +105,22 @@ def _window(q: symbolic.WindowSet, cfg: TruncationConfig, floor0: int) -> tuple[
 def build_frame(
     q: symbolic.WindowSet, cfg: TruncationConfig, base_graded: bool = False
 ) -> Frame | None:
-    """Resolve windows and list the query cells by rank; None for empty Q."""
+    """Resolve windows and list the query cells by rank on the lazy window
+    [min(qlo, floor0), whi]; None for empty Q."""
     if q.is_empty:
         return None
     floor0 = 0 if base_graded else cfg.base_shift
-    wlo, whi = _window(q, cfg, floor0)
-    cells = tuple(q.ranks_on(symbolic.Window(wlo, whi)))
-    return Frame(q.n, cfg.depth, cfg.base_shift, floor0, wlo, whi, cells)
-
-
-def _groups(frame: Frame, cells, position):
-    """Split a cell block by the symbol at a word position, symbol order."""
-    n, place = frame.n, frame.n ** (frame.whi - frame.wlo - position)
-    buckets: dict[int, list] = {}
-    for cell in cells:
-        buckets.setdefault(cell // place % n, []).append(cell)
-    return sorted(buckets.items())
+    qlo, qhi = _edges(q, floor0)
+    wlo, whi = _window(cfg, floor0, qlo, qhi)
+    cells = tuple(q.ranks_on(symbolic.Window(min(qlo, floor0), whi)))
+    return Frame(q.n, cfg.depth, cfg.base_shift, floor0, qlo, wlo, whi, cells)
 
 
 def _cylinder(frame: Frame, m: int, word: tuple[int, ...]) -> symbolic.WindowSet:
+    if frame.n ** len(word) > symbolic.TREE_CELLS:
+        return symbolic.WindowSet.cylinder(frame.n, frame.floor(m), word)
     window = symbolic.Window(frame.floor(m), frame.whi)
     return symbolic.WindowSet(frame.n, window, 1 << symbolic.word_rank(frame.n, word))
-
-
-def _roots(frame: Frame):
-    return _group_by_suffix(frame, frame.cells, frame.floor0 - frame.wlo)
-
-
-def _group_by_suffix(frame: Frame, cells, position):
-    """Split a cell block by its word from a position on, as (suffix word,
-    cells) pairs in rank order."""
-    length = frame.whi - frame.wlo + 1 - position
-    size = frame.n ** length
-    buckets: dict[int, list] = {}
-    for cell in cells:
-        buckets.setdefault(cell % size, []).append(cell)
-    return [(symbolic.rank_word(frame.n, length, r), group) for r, group in sorted(buckets.items())]
 
 
 # -- the take-or-split walk --------------------------------------------
@@ -174,10 +175,14 @@ def _walk(frame: Frame, comps, keep, node_cap: int):
     the pair (m, word) of a taken node or a pair of traces, whose taken
     nodes together make up a sum of options.
     """
+    n, depth = frame.n, frame.depth
+    full_m = frame.qlo - frame.floor0  # a node at level m <= full_m is full
+    at = frame.floor0 - frame.base_shift  # the coordinate every node is read at
     count = 0
+    rules = None  # per component, set up at the first full node that may split
 
     def rec(word, cells, m):
-        nonlocal count
+        nonlocal count, rules
         count += 1
         if count > node_cap:
             raise BudgetExceededError("refinement tree exceeded the node cap")
@@ -185,16 +190,66 @@ def _walk(frame: Frame, comps, keep, node_cap: int):
         shift = frame.cost_shift(m)
         take = tuple([measures.eval_shifted(mu, shift, cyl) for mu in comps])
         options = [(take, (m, word))]
-        if m == -frame.depth:
+        if m == -depth:
             return options
-        position = frame.floor(m) - 1 - frame.wlo
-        fronts = [
-            rec((symbol,) + word, group, m - 1)
-            for symbol, group in _groups(frame, cells, position)
-        ]
+        if m <= full_m:
+            if rules is None:
+                rules = _bound_rules(comps, at)
+            if rules and _take_attains(rules, take, word, m + depth, at):
+                return options
+            fronts = [rec((symbol,) + word, None, m - 1) for symbol in range(n)]
+        else:
+            place = n ** (frame.whi - frame.floor(m) + 1)
+            buckets: dict[int, list] = {}
+            for cell in cells:
+                buckets.setdefault(cell // place % n, []).append(cell)
+            fronts = [
+                rec((symbol,) + word, group, m - 1) for symbol, group in sorted(buckets.items())
+            ]
         return keep(options + _combine(fronts, keep))
 
-    return _combine([rec(word, cells, 0) for word, cells in _roots(frame)], keep)
+    length = frame.whi - frame.floor0 + 1
+    size = n ** length
+    roots: dict[int, list] = {}
+    for cell in frame.cells:
+        roots.setdefault(cell % size, []).append(cell)
+    return _combine(
+        [rec(symbolic.rank_word(n, length, r), cells, 0) for r, cells in sorted(roots.items())],
+        keep,
+    )
+
+
+def _bound_rules(comps, at):
+    """Per cost component, its Markov-form decision tables and its other
+    parts, for words read at coordinate ``at``; empty when a component may
+    be negative, for then no node is bounded."""
+    if not all(mu.nonnegative for mu in comps):
+        return []
+    rules = []
+    for mu in comps:
+        parts = mu.transfer(at)
+        rules.append((
+            [table for _, table in parts if table is not None],
+            [part for part, table in parts if table is None],
+        ))
+    return rules
+
+
+def _take_attains(rules, take, word, k, at):
+    """Whether taking a full node with k levels below it attains its
+    subtree's optimum in every component: each component is 0 at the node,
+    or each of its Markov-form parts takes the node in its decision table
+    and each other part prices the node at 0."""
+    for value, (tables, others) in zip(take, rules):
+        if not value:
+            continue
+        if not tables:  # a positive value from parts with no table
+            return False
+        if not all(table.takes(word[0], k) for table in tables):
+            return False
+        if any(part.cell_value(at, word) for part in others):
+            return False
+    return True
 
 
 def _taken(trace):
@@ -283,11 +338,34 @@ def phi_paren_truncated(
 
 
 # -- brute force oracle ------------------------------------------------
+#
+# The oracles list the query cells densely on the whole working window, on
+# their own, so they share no cell code with the lazy walk they check.
 
 
-def _leaves(frame: Frame, cells):
+def _dense_cells(q: symbolic.WindowSet, frame: Frame) -> list[int]:
+    return list(q.ranks_on(symbolic.Window(frame.wlo, frame.whi)))
+
+
+def _group_by_suffix(frame: Frame, cells, position):
+    """Split a dense cell block by its word from a position on, as (suffix
+    word, cells) pairs in rank order."""
+    length = frame.whi - frame.wlo + 1 - position
+    size = frame.n ** length
+    buckets: dict[int, list] = {}
+    for cell in cells:
+        buckets.setdefault(cell % size, []).append(cell)
+    return [(symbolic.rank_word(frame.n, length, r), group) for r, group in sorted(buckets.items())]
+
+
+def _finest_classes(q: symbolic.WindowSet, frame: Frame):
+    """Per root word of the tree, its finest classes: the words on
+    [floor(-D), whi] of the dense cells under it."""
     position = frame.floor(-frame.depth) - frame.wlo
-    return [suffix for suffix, _ in _group_by_suffix(frame, cells, position)]
+    return [
+        [suffix for suffix, _ in _group_by_suffix(frame, cells, position)]
+        for _, cells in _group_by_suffix(frame, _dense_cells(q, frame), frame.floor0 - frame.wlo)
+    ]
 
 
 def _labeling_costs(frame: Frame, comps):
@@ -339,9 +417,9 @@ def brute_force_phi(
         return ZERO
     costs = _labeling_costs(frame, [phi])
     total = ZERO
-    for _, cells in _roots(frame):
+    for leaves in _finest_classes(q, frame):
         # roots are independent, so each is enumerated on its own
-        total += min(costs(_leaves(frame, cells), class_cap, labeling_cap))[0]
+        total += min(costs(leaves, class_cap, labeling_cap))[0]
     return total
 
 
@@ -361,7 +439,7 @@ def brute_force_phi_overlapping(
     frame = build_frame(q, cfg, base_graded=False)
     if frame is None:
         return ZERO
-    cells = frame.cells
+    cells = _dense_cells(q, frame)
     index = {cell: k for k, cell in enumerate(cells)}
     pool = []
     for m in range(0, -frame.depth - 1, -1):
@@ -428,7 +506,7 @@ def shift_sweep(
         raise RejectedInputError("shifts must be nonpositive and nonincreasing")
     floor_abs = min(i_list) - depth
     top = i_list[0]
-    wlo, whi = _window(q, TruncationConfig(top - floor_abs, width, top), top)
+    wlo, whi = _window(TruncationConfig(top - floor_abs, width, top), top, *_edges(q, top))
     return [
         TruncationConfig(i - floor_abs, width, i, window_lo=wlo, window_hi=whi)
         for i in i_list

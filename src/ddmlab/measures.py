@@ -8,6 +8,14 @@ The graded family attached to a base measure phi is phi_m = phi . S^m for
 m <= 0, evaluated through :func:`eval_shifted`.  Shifted pricing never
 builds the shifted set: it reads the set's canonical words once and prices
 each at its coordinate minus m, so a set costs O(words x word length).
+
+A measure is in Markov form at a coordinate when it prices every word read
+there as rho[w0] * prod a[wk][wk+1], with one fixed vector and matrix.  The
+take-or-split walk prices all nodes of a tree at one coordinate, so in a
+subtree holding every left extension of a node's word the optimum of such a
+measure is known in closed form; :class:`DecisionTable` records when taking
+the node whole attains it, and :meth:`CylinderMeasure.transfer` hands the
+tables of a measure's parts to the walk.
 """
 
 from __future__ import annotations
@@ -35,6 +43,38 @@ def _as_fraction(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+class DecisionTable:
+    """Take-or-split decisions of a measure in Markov form (rho, a).
+
+    A node whose word w is read at the table's coordinate and which has k
+    levels below it, every left extension of w among them, costs
+    T(w) * h(w0, k) at best, where T(w) is the transition product of w,
+    h(s, 0) = rho[s] and h(s, k) = min(rho[s], sum_t a[t][s] * h(t, k-1)).
+    Taking the node whole costs T(w) * rho[w0], so it is optimal exactly
+    when h(w0, k) = rho[w0].  Rows are computed on demand and kept.
+    """
+
+    __slots__ = ("rho", "a", "rows", "_takes")
+
+    def __init__(self, rho, a):
+        self.rho = tuple(rho)
+        self.a = a
+        self.rows = [self.rho]  # rows[k][s] = h(s, k)
+        self._takes = [(True,) * len(self.rho)]
+
+    def takes(self, s: int, k: int) -> bool:
+        """Whether taking a node whose word starts with s, with k levels
+        below it, attains the optimum of its subtree (ties go to take)."""
+        takes = self._takes
+        while len(takes) <= k:
+            rho, a, h = self.rho, self.a, self.rows[-1]
+            n = len(rho)
+            split = [sum((a[t][j] * h[t] for t in range(n)), ZERO) for j in range(n)]
+            takes.append(tuple(r <= x for r, x in zip(rho, split)))
+            self.rows.append(tuple(min(r, x) for r, x in zip(rho, split)))
+        return takes[k][s]
+
+
 class CylinderMeasure:
     """Base class: a finitely additive set function on window sets over
     coordinates >= 0, defined through its value on single-word cylinders."""
@@ -44,6 +84,13 @@ class CylinderMeasure:
 
     def cell_value(self, lo: int, word: tuple[int, ...]) -> Fraction:
         raise NotImplementedError
+
+    def transfer(self, at: int) -> tuple:
+        """The parts of positive weight that this measure sums, for words
+        read at coordinate ``at``, as (part, table) pairs: ``table`` is the
+        part's :class:`DecisionTable` when the part is in Markov form there,
+        else None.  Tables are kept per measure and coordinate."""
+        return ((self, None),)
 
 
 class MarkovMeasure(CylinderMeasure):
@@ -68,9 +115,16 @@ class MarkovMeasure(CylinderMeasure):
         # transitions as (numerator, denominator) pairs: a path product is
         # taken over integers and reduced once
         self._steps = tuple(tuple((x.numerator, x.denominator) for x in row) for row in self.a)
+        self._tables: dict[int, DecisionTable] = {}
 
     def __repr__(self):
         return f"MarkovMeasure(pi={self.pi}, a={self.a})"
+
+    def transfer(self, at: int) -> tuple:
+        table = self._tables.get(at)
+        if table is None:
+            table = self._tables[at] = DecisionTable(self._marginal(at), self.a)
+        return ((self, table),)
 
     def _marginal(self, lo: int) -> tuple[Fraction, ...]:
         if lo not in self._marginals:
@@ -137,9 +191,16 @@ class BernoulliMeasure(CylinderMeasure):
             raise RejectedInputError("weights are not a distribution")
         self.symbols = len(self.p)
         self._steps = tuple((x.numerator, x.denominator) for x in self.p)
+        self._table: DecisionTable | None = None
 
     def __repr__(self):
         return f"BernoulliMeasure({self.p})"
+
+    def transfer(self, at: int) -> tuple:
+        # every row of the transition matrix is p, at every coordinate
+        if self._table is None:
+            self._table = DecisionTable(self.p, (self.p,) * self.symbols)
+        return ((self, self._table),)
 
     def cell_value(self, lo: int, word: tuple[int, ...]) -> Fraction:
         num = den = 1
@@ -166,9 +227,23 @@ class CesaroMeasure(CylinderMeasure):
         self.n = int(n)
         self.symbols = base.symbols
         self.nonnegative = base.nonnegative
+        self._tables: dict[int, DecisionTable | None] = {}
 
     def __repr__(self):
         return f"CesaroMeasure({self.base!r}, {self.n})"
+
+    def transfer(self, at: int) -> tuple:
+        # in Markov form when the base is at each averaged coordinate, with
+        # one matrix: rho is then the average of the base's vectors
+        if at not in self._tables:
+            forms = [self.base.transfer(at + j) for j in range(self.n + 1)]
+            tables = [form[0][1] for form in forms if len(form) == 1 and form[0][1]]
+            table = None
+            if len(tables) == len(forms) and all(t.a == tables[0].a for t in tables):
+                rho = [sum(col, ZERO) / len(tables) for col in zip(*(t.rho for t in tables))]
+                table = DecisionTable(rho, tables[0].a)
+            self._tables[at] = table
+        return ((self, self._tables[at]),)
 
     def cell_value(self, lo: int, word: tuple[int, ...]) -> Fraction:
         total = sum((self.base.cell_value(lo + j, word) for j in range(self.n + 1)), ZERO)
@@ -193,6 +268,11 @@ class ConvexMeasure(CylinderMeasure):
 
     def __repr__(self):
         return f"ConvexMeasure({self.weights}, {self.parts})"
+
+    def transfer(self, at: int) -> tuple:
+        return tuple(
+            pair for w, part in zip(self.weights, self.parts) if w for pair in part.transfer(at)
+        )
 
     def cell_value(self, lo: int, word: tuple[int, ...]) -> Fraction:
         total = ZERO
@@ -234,8 +314,10 @@ def _cell_sum(mu: CylinderMeasure, n: int, key, m: int) -> Fraction:
     """Sum of the cell values of a canonical key's words, each read m
     coordinates to the right, in rank order."""
     lo, hi, bits = key
+    if not isinstance(bits, int):  # a wide set: price its cylinders
+        return sum((mu.cell_value(lo - m, word) for word in symbolic.tree_cells(n, key)), ZERO)
     at, span = lo - m, hi - lo + 1
-    if not bits & (bits - 1):
+    if bits.bit_count() == 1:
         return mu.cell_value(at, symbolic.rank_word(n, span, bits.bit_length() - 1))
     total = ZERO
     while bits:

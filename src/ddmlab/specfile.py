@@ -22,6 +22,29 @@ class _UnknownMeasureName(RejectedInputError):
     """A measure record references a name not (yet) defined."""
 
 
+def expect_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise RejectedInputError(f"{what} must be a JSON object, not {value!r}")
+    return value
+
+
+def expect_array(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise RejectedInputError(f"{what} must be a JSON array, not {value!r}")
+    return value
+
+
+def expect_integer(value, what: str) -> int:
+    """An integer given as a JSON number or a string of digits."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise RejectedInputError(f"{what} must be an integer, not {value!r}")
+    return int(value)
+
+
+def expect_integers(value, what: str) -> list[int]:
+    return [expect_integer(x, what) for x in expect_array(value, what)]
+
+
 _RATIONAL = re.compile(r"^\s*(-?\d+)\s*(?:/\s*(\d+)\s*)?$")
 
 
@@ -42,6 +65,14 @@ def parse_rational(text) -> Fraction:
     return Fraction(num, den)
 
 
+def parse_rationals(value, what: str) -> tuple[Fraction, ...]:
+    return tuple(parse_rational(x) for x in expect_array(value, what))
+
+
+def parse_matrix(value) -> tuple[tuple[Fraction, ...], ...]:
+    return tuple(parse_rationals(row, "a row of A") for row in expect_array(value, "A"))
+
+
 def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
@@ -59,6 +90,8 @@ def decimal_string(x: Fraction, digits: int) -> str:
 
 
 def parse_set(text: str, n: int) -> symbolic.WindowSet:
+    if not isinstance(text, str):
+        raise RejectedInputError(f"a set literal must be a string, not {text!r}")
     parser = _SetParser(text, n)
     result = parser.expression()
     parser.expect_end()
@@ -158,26 +191,24 @@ def parse_measure(record, named: dict, n: int) -> measures.CylinderMeasure:
         raise RejectedInputError(f"measure record needs a kind: {record!r}")
     kind = record["kind"]
     if kind == "markov":
-        pi = tuple(parse_rational(x) for x in record["pi"])
-        a = tuple(tuple(parse_rational(x) for x in row) for row in record["A"])
-        return measures.MarkovMeasure(pi, a)
+        return measures.MarkovMeasure(parse_rationals(record["pi"], "pi"), parse_matrix(record["A"]))
     if kind == "stationary_markov":
-        a = tuple(tuple(parse_rational(x) for x in row) for row in record["A"])
-        return measures.stationary_markov(a)
+        return measures.stationary_markov(parse_matrix(record["A"]))
     if kind == "dirac":
         exceptions = tuple(
-            (int(j), int(s)) for j, s in record.get("exceptions", {}).items()
+            (expect_integer(j, "an exception coordinate"), expect_integer(s, "a symbol"))
+            for j, s in expect_object(record.get("exceptions", {}), "exceptions").items()
         )
-        return measures.DiracMeasure(n, tuple(record["period"]), exceptions)
+        period = tuple(expect_integers(record["period"], "period"))
+        return measures.DiracMeasure(n, period, exceptions)
     if kind == "bernoulli":
-        return measures.BernoulliMeasure(tuple(parse_rational(x) for x in record["p"]))
+        return measures.BernoulliMeasure(parse_rationals(record["p"], "p"))
     if kind == "cesaro":
         base = parse_measure(record["base"], named, n)
-        return measures.cesaro(base, int(record["n"]))
+        return measures.cesaro(base, expect_integer(record["n"], "n"))
     if kind == "convex":
-        weights = tuple(parse_rational(x) for x in record["weights"])
-        parts = tuple(parse_measure(p, named, n) for p in record["parts"])
-        return measures.ConvexMeasure(weights, parts)
+        parts = tuple(parse_measure(p, named, n) for p in expect_array(record["parts"], "parts"))
+        return measures.ConvexMeasure(parse_rationals(record["weights"], "weights"), parts)
     if kind == "signed_diff":
         return measures.SignedDiffMeasure(
             parse_measure(record["psi"], named, n),
@@ -188,12 +219,17 @@ def parse_measure(record, named: dict, n: int) -> measures.CylinderMeasure:
 
 
 def parse_config(record: dict) -> TruncationConfig:
+    expect_object(record, "a config")
+    pinned = {
+        key: expect_integer(record[key], key)
+        for key in ("window_lo", "window_hi")
+        if record.get(key) is not None
+    }
     return TruncationConfig(
-        depth=int(record.get("depth", 1)),
-        width=int(record.get("width", 0)),
-        base_shift=int(record.get("base_shift", 0)),
-        window_lo=record.get("window_lo"),
-        window_hi=record.get("window_hi"),
+        depth=expect_integer(record.get("depth", 1), "depth"),
+        width=expect_integer(record.get("width", 0), "width"),
+        base_shift=expect_integer(record.get("base_shift", 0), "base_shift"),
+        **pinned,
     )
 
 
@@ -210,12 +246,12 @@ class ProblemSpec:
         return self.alphabet.size
 
     def measure(self, name: str) -> measures.CylinderMeasure:
-        if name not in self.measures:
+        if not isinstance(name, str) or name not in self.measures:
             raise RejectedInputError(f"unknown measure name {name!r}")
         return self.measures[name]
 
     def window_set(self, name: str) -> symbolic.WindowSet:
-        if name in self.sets:
+        if isinstance(name, str) and name in self.sets:
             return self.sets[name]
         # allow inline literals wherever a set name is expected
         return parse_set(name, self.n)
@@ -223,7 +259,7 @@ class ProblemSpec:
     def config(self, name) -> TruncationConfig:
         if isinstance(name, dict):
             return parse_config(name)
-        if name not in self.configs:
+        if not isinstance(name, str) or name not in self.configs:
             raise RejectedInputError(f"unknown config name {name!r}")
         return self.configs[name]
 
@@ -235,10 +271,13 @@ def load_spec(path: str) -> ProblemSpec:
 
 
 def parse_spec(raw: dict) -> ProblemSpec:
-    alphabet = symbolic.Alphabet(int(raw.get("alphabet", 2)))
+    expect_object(raw, "the spec")
+    alphabet = symbolic.Alphabet(expect_integer(raw.get("alphabet", 2), "alphabet"))
     n = alphabet.size
+    section = {key: expect_object(raw.get(key, {}), key)
+               for key in ("measures", "sets", "configs", "commands")}
     named: dict = {}
-    pending = dict(raw.get("measures", {}))
+    pending = dict(section["measures"])
     # named measures may reference each other; resolve until stable.  Only a
     # reference to a name not yet resolved leaves a measure pending: every
     # other error is the record's own defect and is raised as it is.
@@ -254,9 +293,9 @@ def parse_spec(raw: dict) -> ProblemSpec:
             progress = True
     if pending:
         raise RejectedInputError(f"unresolvable measure references: {sorted(pending)}")
-    sets = {name: parse_set(text, n) for name, text in raw.get("sets", {}).items()}
-    configs = {name: parse_config(rec) for name, rec in raw.get("configs", {}).items()}
-    return ProblemSpec(alphabet, named, sets, configs, dict(raw.get("commands", {})))
+    sets = {name: parse_set(text, n) for name, text in section["sets"].items()}
+    configs = {name: parse_config(rec) for name, rec in section["configs"].items()}
+    return ProblemSpec(alphabet, named, sets, configs, dict(section["commands"]))
 
 
 def witness_payload(cover) -> dict:

@@ -18,18 +18,31 @@ fixtures rely on this exact layout.
 The one-step left shift maps sequence sigma to tau with tau[j] = sigma[j+1],
 so the i-th shift power carries a set determined on [lo, hi] to one
 determined on [lo - i, hi - i].
+
+A set whose canonical window holds more than TREE_CELLS words is kept as a
+tree instead of a bitset (a bitset of a long word grows as N**span), read
+from the window's left
+edge rightwards: a node reads one coordinate and has one child per symbol,
+and a leaf holds all or none of the words that begin with the path to it.
+Equal subtrees are one shared object, so a deep cylinder costs one node
+per coordinate and equality is identity.  A wide set supports the set
+algebra, canonical form, shift, projection and pricing by its cylinders;
+listing its words or its bitset stays under the MAX_CELLS cap.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterable, Iterator
 
 from .errors import BitsetCapError, RejectedInputError
 
 MAX_ABS_COORDINATE = 64
-MAX_CELLS = 1 << 22
+MAX_CELLS = 1 << 22  # the bitset cap: most words a set lists or a bitset holds
+TREE_CELLS = 1 << 16  # a canonical window of more words keeps its set as a tree
 
 
 def _check_coordinate(c: int) -> None:
@@ -144,17 +157,24 @@ class WindowSet:
         if not word:
             raise RejectedInputError("cylinder needs at least one symbol")
         window = Window(start, start + len(word) - 1)
-        _cell_count(n, window)
+        if n ** window.span > TREE_CELLS:
+            return _TreeSet(n, window, _ranks_tree(n, [word_rank(n, word)], window.span))
         return cls(n, window, 1 << word_rank(n, word))
 
     @classmethod
     def from_words(cls, n: int, window: Window, words: Iterable[tuple[int, ...]]) -> "WindowSet":
-        bits = 0
+        span = window.span
+        ranks = []
         for word in words:
             word = tuple(word)
-            if len(word) != window.span:
+            if len(word) != span:
                 raise RejectedInputError("word length does not match the window span")
-            bits |= 1 << word_rank(n, word)
+            ranks.append(word_rank(n, word))
+        if n ** span > TREE_CELLS:
+            return _TreeSet(n, window, _ranks_tree(n, list(set(ranks)), span))
+        bits = 0
+        for r in ranks:
+            bits |= 1 << r
         return cls(n, window, bits)
 
     # -- canonical form ------------------------------------------------
@@ -173,6 +193,8 @@ class WindowSet:
         if key == ("full",):
             return WindowSet.full_space(self.n)
         lo, hi, bits = key
+        if isinstance(bits, _Node):
+            return _TreeSet(self.n, Window(lo, hi), bits)
         return WindowSet(self.n, Window(lo, hi), bits)
 
     def __eq__(self, other) -> bool:
@@ -228,6 +250,8 @@ class WindowSet:
         if not window.contains(Window(lo, hi)):
             raise RejectedInputError("target window does not contain the set's window")
         n = self.n
+        if isinstance(bits, _Node):
+            bits = _tree_bits(n, bits, hi - lo + 1, {})
         # extend on the right first: one new least-significant digit at a time
         for _ in range(window.hi - hi):
             run = (1 << n) - 1
@@ -268,7 +292,15 @@ class WindowSet:
         key = self.canonical_key()
         if key in (("empty",), ("full",)):
             return iter(())
-        lo, hi, _ = key
+        lo, hi, bits = key
+        if isinstance(bits, _Node):
+            span = hi - lo + 1
+            cells = tree_cells(self.n, key, lambda word: self.n ** (span - len(word)))
+            return (
+                word + rest
+                for word in cells
+                for rest in product(range(self.n), repeat=span - len(word))
+            )
         return self.words_on(Window(lo, hi))
 
     def literal(self) -> str:
@@ -293,18 +325,17 @@ class WindowSet:
 def _canonical_key(n: int, window: Window | None, bits: int, full: bool):
     if window is None:
         return ("full",) if full else ("empty",)
-    span = window.span
-    total = n ** span
-    if bits == 0:
+    # counting the members builds no bitset as wide as the window
+    members = bits.bit_count()
+    if members == 0:
         return ("empty",)
-    if bits == (1 << total) - 1:
+    cells = n ** window.span
+    if members == cells:
         return ("full",)
     lo, hi = window.lo, window.hi
-    if not bits & (bits - 1):
-        # one word (n > 1 here: over one symbol every set is empty or full):
-        # each end coordinate splits it from a nonmember sibling word
-        return (lo, hi, bits)
-    changed = True
+    # one word (n > 1 here: over one symbol every set is empty or full) has
+    # no redundant end: each end coordinate splits it from a sibling word
+    changed = members > 1
     while changed and hi > lo:
         changed = False
         # lo digit redundant iff the n most-significant blocks coincide
@@ -316,23 +347,209 @@ def _canonical_key(n: int, window: Window | None, bits: int, full: bool):
             lo += 1
             changed = True
             continue
-        # hi digit redundant iff every n-run of ranks is all-or-none
-        runs = n ** (hi - lo)
-        run_mask = (1 << n) - 1
-        compressed = 0
-        ok = True
-        for r in range(runs):
-            run = (bits >> (r * n)) & run_mask
-            if run == run_mask:
-                compressed |= 1 << r
-            elif run != 0:
-                ok = False
-                break
-        if ok:
-            bits = compressed
+        trimmed = _without_last_digit(n, bits, n * sub)
+        if trimmed is not None:
+            bits = trimmed
             hi -= 1
             changed = True
+    if cells > TREE_CELLS and n ** (hi - lo + 1) > TREE_CELLS:
+        return (lo, hi, _bits_tree(n, bits, hi - lo + 1, {}))
     return (lo, hi, bits)
+
+
+_RUN_BYTES = 1024  # a block of a wide bitset holds 8 * _RUN_BYTES runs
+
+
+def _without_last_digit(n: int, bits: int, size: int) -> int | None:
+    """The bitset of ``size`` ranks with its last digit dropped, when that
+    digit is redundant, else None.  The digit is redundant iff every n-run
+    of ranks is all-or-none, that is iff the runs' lowest bits, each spread
+    over its run, give the bitset back; one bit per run is then kept, every
+    n-th digit of the padded binary form.  A bitset wider than a block is
+    read a block at a time, so no temporary is much wider than a block."""
+    width = min(size, 8 * n * _RUN_BYTES)  # bits per block, whole runs
+    lowest = ((1 << width) - 1) // ((1 << n) - 1)  # the lowest bit of every run
+    if width == size:
+        blocks = [bits]
+    else:
+        data = bits.to_bytes(-(-size // 8), "little")
+        step = width // 8
+        blocks = (int.from_bytes(data[k : k + step], "little") for k in range(0, len(data), step))
+    kept = []
+    for block in blocks:
+        firsts = block & lowest
+        if (firsts << n) - firsts != block:
+            return None
+        kept.append(int(format(firsts, f"0{width}b")[n - 1 :: n], 2))
+    if len(kept) == 1:
+        return kept[0]
+    return int.from_bytes(b"".join(k.to_bytes(_RUN_BYTES, "little") for k in kept), "little")
+
+
+# -- wide sets ---------------------------------------------------------
+
+
+class _Node:
+    """A node of a wide set's tree: the words on the coordinates at and right
+    of the one it reads, with one child per symbol there.  The two leaves,
+    which hold all words or none, have no children."""
+
+    __slots__ = ("kids", "height", "__weakref__")
+
+    def __init__(self, kids: tuple | None, height: int):
+        self.kids = kids
+        self.height = height  # coordinates read on the longest path
+
+
+_EMPTY = _Node(None, 0)
+_FULL = _Node(None, 0)
+# live nodes by their children, one table for the process, so that equal
+# subtrees built anywhere are one object; a node leaves it with its last set
+_NODES: "weakref.WeakValueDictionary[tuple, _Node]" = weakref.WeakValueDictionary()
+
+
+def _node(kids: tuple) -> _Node:
+    first = kids[0]
+    if first.kids is None and all(kid is first for kid in kids):
+        return first
+    node = _NODES.get(kids)
+    if node is None:
+        node = _NODES[kids] = _Node(kids, 1 + max(kid.height for kid in kids))
+    return node
+
+
+class _TreeSet(WindowSet):
+    """A window set too wide for a bitset: ``bits`` holds the tree of its
+    words, read from the window's left edge."""
+
+    __slots__ = ()
+
+    def __init__(self, n: int, window: Window, tree: _Node):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "window", window)
+        object.__setattr__(self, "bits", tree)
+        object.__setattr__(self, "_full", False)
+        object.__setattr__(self, "_key", None)
+
+    def canonical_key(self):
+        key = self._key
+        if key is None:
+            key = _tree_key(self.n, self.window.lo, self.bits)
+            object.__setattr__(self, "_key", key)
+        return key
+
+
+def _ranks_tree(n: int, ranks: list[int], span: int) -> _Node:
+    """Tree of distinct member ranks on a window of ``span`` coordinates."""
+    if not ranks:
+        return _EMPTY
+    if len(ranks) == n ** span:
+        return _FULL
+    sub = n ** (span - 1)
+    groups: list[list[int]] = [[] for _ in range(n)]
+    for r in ranks:
+        groups[r // sub].append(r % sub)
+    return _node(tuple(_ranks_tree(n, group, span - 1) for group in groups))
+
+
+def _bits_tree(n: int, bits: int, span: int, memo: dict) -> _Node:
+    """Tree of a bitset on a window of ``span`` coordinates; equal blocks,
+    looked up in ``memo``, are split once."""
+    size = n ** span
+    if bits == 0:
+        return _EMPTY
+    if bits == (1 << size) - 1:
+        return _FULL
+    node = memo.get((span, bits))
+    if node is None:
+        sub = size // n
+        mask = (1 << sub) - 1
+        node = memo[(span, bits)] = _node(
+            tuple(_bits_tree(n, (bits >> (a * sub)) & mask, span - 1, memo) for a in range(n))
+        )
+    return node
+
+
+def _tree_bits(n: int, node: _Node, span: int, memo: dict) -> int:
+    """Bitset of a tree on a window of ``span`` coordinates."""
+    if node.kids is None:
+        return (1 << n ** span) - 1 if node is _FULL else 0
+    bits = memo.get((node, span))
+    if bits is None:
+        sub = n ** (span - 1)
+        bits = memo[(node, span)] = sum(
+            _tree_bits(n, kid, span - 1, memo) << (a * sub) for a, kid in enumerate(node.kids)
+        )
+    return bits
+
+
+def _tree_key(n: int, lo: int, node: _Node):
+    """Canonical key of the tree read from coordinate ``lo``: the left edge
+    moves right while no child differs, the right edge is the end of the
+    longest path, and a window of at most TREE_CELLS words gets its bitset
+    back."""
+    while node.kids is not None and all(kid is node.kids[0] for kid in node.kids):
+        node = node.kids[0]
+        lo += 1
+    if node is _EMPTY:
+        return ("empty",)
+    if node is _FULL:
+        return ("full",)
+    if n ** node.height > TREE_CELLS:
+        return (lo, lo + node.height - 1, node)
+    return (lo, lo + node.height - 1, _tree_bits(n, node, node.height, {}))
+
+
+def tree_cells(n: int, key, weight=lambda word: 1) -> list[tuple[int, ...]]:
+    """The words, in rank order, of the cylinders at the left edge of a wide
+    canonical key that make it up, one per full leaf.  Cylinders whose
+    ``weight`` adds up past MAX_CELLS hit the cap."""
+    node = key[2]
+    cells = []
+    total = 0
+    stack = [(node, ())]
+    while stack:
+        node, word = stack.pop()
+        if node is _FULL:
+            total += weight(word)
+            if total > MAX_CELLS:
+                raise BitsetCapError(f"a set over {n} symbols lists more cells than the bitset cap")
+            cells.append(word)
+        elif node.kids is not None:
+            stack.extend((kid, word + (a,)) for a, kid in reversed(list(enumerate(node.kids))))
+    return cells
+
+
+def _tree_on(n: int, key, lo: int) -> _Node:
+    """Tree of a canonical key read from coordinate ``lo``, at or left of
+    its window."""
+    if key in (("empty",), ("full",)):
+        return _FULL if key == ("full",) else _EMPTY
+    left, hi, bits = key
+    if not isinstance(bits, _Node):
+        bits = _bits_tree(n, bits, hi - left + 1, {})
+    for _ in range(left - lo):
+        bits = _node((bits,) * n)
+    return bits
+
+
+_TRUTH = {
+    "union": lambda x, y: x or y,
+    "intersection": lambda x, y: x and y,
+    "difference": lambda x, y: x and not y,
+}
+
+
+def _apply(truth, u: _Node, v: _Node, memo: dict) -> _Node:
+    """Tree of the Boolean combination of two trees read from one coordinate."""
+    if u.kids is None and v.kids is None:
+        return _FULL if truth(u is _FULL, v is _FULL) else _EMPTY
+    node = memo.get((u, v))
+    if node is None:
+        n = len(u.kids or v.kids)
+        pairs = zip(u.kids or (u,) * n, v.kids or (v,) * n)
+        node = memo[(u, v)] = _node(tuple(_apply(truth, x, y, memo) for x, y in pairs))
+    return node
 
 
 # -- operations --------------------------------------------------------
@@ -379,6 +596,11 @@ def set_algebra(a: WindowSet, b: WindowSet, op: str) -> WindowSet:
         else:
             raise RejectedInputError(f"unknown set operation {op!r}")
         return WindowSet.full_space(a.n) if res else WindowSet.empty(a.n)
+    if a.n ** window.span > TREE_CELLS:
+        if op not in _TRUTH:
+            raise RejectedInputError(f"unknown set operation {op!r}")
+        u, v = _tree_on(a.n, ka, window.lo), _tree_on(a.n, kb, window.lo)
+        return _TreeSet(a.n, window, _apply(_TRUTH[op], u, v, {})).canonicalize()
     ba, bb = a.bits_on(window), b.bits_on(window)
     if op == "union":
         bits = ba | bb
@@ -416,7 +638,7 @@ def shift(s: WindowSet, i: int) -> WindowSet:
     if s.window is None or i == 0:
         return s
     window = Window(s.window.lo - i, s.window.hi - i)
-    return WindowSet(s.n, window, s.bits)
+    return type(s)(s.n, window, s.bits)
 
 
 def project_min(s: WindowSet, g: int) -> WindowSet:
@@ -433,6 +655,15 @@ def project_min(s: WindowSet, g: int) -> WindowSet:
     if g > hi:
         return WindowSet.full_space(s.n)
     n = s.n
+    if isinstance(bits, _Node):
+        memo: dict = {}
+        for _ in range(g - lo):  # the union of the children forgets a coordinate
+            if bits.kids is not None:
+                kids = bits.kids
+                bits = kids[0]
+                for kid in kids[1:]:
+                    bits = _apply(_TRUTH["union"], bits, kid, memo)
+        return _TreeSet(n, Window(g, hi), bits).canonicalize()
     span = hi - lo + 1
     for _ in range(g - lo):
         sub = n ** (span - 1)

@@ -175,7 +175,7 @@ class FiniteAlgebra:
                 if (pick >> k) & 1:
                     bits |= mask
             members[symbolic.WindowSet(n, window, bits).canonicalize()] = bits
-        self.members = sorted(members, key=lambda s: s.canonical_key().__repr__())
+        self.members = sorted(members, key=_member_order)
         self._window = window  # also the hull of the members' windows
         self._bits = [members[s] for s in self.members]  # each member on the window
 
@@ -184,6 +184,15 @@ class FiniteAlgebra:
 
     def __iter__(self):
         return iter(self.members)
+
+
+def _member_order(s: symbolic.WindowSet) -> str:
+    """Sort key of an algebra member: its canonical key, with a tree-form
+    set's bitset on its canonical window in place of the tree."""
+    key = s.canonical_key()
+    if len(key) == 3 and not isinstance(key[2], int):
+        key = (key[0], key[1], s.bits_on(symbolic.Window(key[0], key[1])))
+    return repr(key)
 
 
 @dataclass

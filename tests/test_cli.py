@@ -9,6 +9,10 @@ import pytest
 import ddmlab
 from ddmlab import cli
 from ddmlab.cli import main
+from ddmlab.covers import Cover, cover_cost, is_valid_cover
+from ddmlab.measures import DiracMeasure
+from ddmlab.specfile import parse_set
+from ddmlab.symbolic import WindowSet
 
 SPEC = {
     "alphabet": 2,
@@ -142,13 +146,32 @@ def test_negative_decimal_is_an_input_error(capsys):
 
 
 def test_bitset_cap_is_a_resource_error(capsys, tmp_path):
-    phi = {"measure": "point", "set": "all", "depths": [30], "widths": [10], "shifts": [0]}
-    path = tmp_path / "deep.json"
+    # width 25 lists the query cells on [0, 25], past the 2**22-cell cap
+    phi = {"measure": "chain", "set": "zero", "depths": [1], "widths": [25], "shifts": [0]}
+    path = tmp_path / "wide.json"
     path.write_text(json.dumps(dict(SPEC, commands={"phi": phi})))
     code, out = run(capsys, "phi", "--spec", str(path))
     payload = json.loads(out)
     assert code == 3
     assert payload["kind"] == "resource" and "bitset cap" in payload["error"]
+
+
+def test_deep_point_mass_on_a_wide_window_solves(capsys, tmp_path):
+    # the working window [-30, 10] holds 2**41 cells, but the point mass
+    # prices every full node off its orbit at 0, so the walk stays shallow
+    phi = {"measure": "point", "set": "all", "depths": [30], "widths": [10], "shifts": [0]}
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(dict(SPEC, commands={"phi": phi})))
+    code, out = run(capsys, "phi", "--spec", str(path), "--witness")
+    assert code == 0
+    [row] = json.loads(out)["rows"]
+    assert row["value"] == "0/1"
+    witness = Cover(
+        tuple((e["m"], parse_set(e["set"], 2)) for e in row["witness"]["entries"]),
+        base_shift=row["witness"]["base_shift"],
+    )
+    assert is_valid_cover(WindowSet.full_space(2), witness)
+    assert cover_cost(witness, DiracMeasure(2, (0, 1))) == 0
 
 
 def test_missing_file_is_an_input_error(capsys):
@@ -290,3 +313,74 @@ def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
     payload = json.loads(lines[0])
     assert payload == {"error": "RuntimeError: boom", "kind": "internal"}
     assert "Traceback" in captured.err and "boom" in captured.err
+
+
+def _edited(path, value):
+    """The test spec with the node at ``path`` (a tuple of keys) replaced."""
+    spec = json.loads(json.dumps(SPEC))
+    if not path:
+        return value
+    node = spec
+    for key in path[:-1]:
+        node = node.setdefault(key, {})
+    node[path[-1]] = value
+    return spec
+
+
+# one malformed spec per place the reader used to assume a JSON type; before
+# the reader checked the types, each of them raised a TypeError or an
+# AttributeError, which exited 4 as if the program were at fault
+MALFORMED = [
+    ("eval", (), [], "the spec must be a JSON object"),
+    ("eval", ("alphabet",), None, "alphabet must be an integer"),
+    ("eval", ("measures",), [1], "measures must be a JSON object"),
+    ("eval", ("sets",), None, "sets must be a JSON object"),
+    ("eval", ("configs",), [1], "configs must be a JSON object"),
+    ("eval", ("commands",), [1], "commands must be a JSON object"),
+    ("eval", ("sets", "zero"), 5, "a set literal must be a string"),
+    ("eval", ("measures", "chain", "pi"), None, "pi must be a JSON array"),
+    ("eval", ("measures", "chain", "A"), [5, 5], "a row of A must be a JSON array"),
+    ("eval", ("measures", "point", "period"), None, "period must be a JSON array"),
+    ("eval", ("measures", "point", "exceptions"), [1], "exceptions must be a JSON object"),
+    ("eval", ("measures", "coin"), {"kind": "bernoulli", "p": True}, "p must be a JSON array"),
+    ("eval", ("measures", "avg1", "n"), None, "n must be an integer"),
+    ("eval", ("measures", "mix"), {"kind": "convex", "weights": ["1"], "parts": None},
+     "parts must be a JSON array"),
+    ("eval", ("measures", "mix"), {"kind": "convex", "weights": None, "parts": ["point"]},
+     "weights must be a JSON array"),
+    ("eval", ("configs", "c"), [1], "a config must be a JSON object"),
+    ("eval", ("configs", "c", "depth"), None, "depth must be an integer"),
+    ("chain", ("configs", "c", "window_lo"), [0], "window_lo must be an integer"),
+    ("eval", ("commands", "eval"), "measure set", "the eval command must be a JSON object"),
+    ("eval", ("commands", "eval", "set"), [1], "a set literal must be a string"),
+    ("eval", ("commands", "eval", "measure"), [1], "unknown measure name"),
+    ("psi", ("commands", "psi", "config"), [1], "unknown config name"),
+    ("phi", ("commands", "phi", "depths"), 5, "depths must be a JSON array"),
+    ("phi", ("commands", "phi", "widths"), [None], "widths must be an integer"),
+    ("psi", ("commands", "psi", "constraints"), 5, "constraints must be a JSON array"),
+    ("psi", ("commands", "psi", "constraints"), ["measure"],
+     "a psi constraint must be a JSON object"),
+    ("psi", ("commands", "psi", "eps"), 5, "eps must be a JSON array"),
+    ("psi", ("commands", "psi", "shifts"), [None], "shifts must be an integer"),
+    ("chain", ("commands", "chain", "objectives"), 5, "objectives must be a JSON array"),
+    ("chain", ("commands", "chain", "c"), 5, "c must be a JSON array"),
+    ("example", ("commands", "example", "params"), 5, "params must be a JSON object"),
+    ("example", ("commands", "example", "params", "ns"), 5, "ns must be a JSON array"),
+    ("example", ("commands", "example", "params", "truncations"), [5],
+     "a truncation must be a JSON array"),
+    ("example", ("commands", "example"), {"name": "e2", "params": {"A": 5}},
+     "A must be a JSON array"),
+    ("example", ("commands", "example"), {"name": "e2", "params": {"pi0": 5}},
+     "pi0 must be a JSON array"),
+]
+
+
+@pytest.mark.parametrize("command, path, value, phrase", MALFORMED)
+def test_malformed_spec_is_an_input_error(capsys, tmp_path, command, path, value, phrase):
+    spec = _edited(path, value)
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps(spec))
+    code, out = run(capsys, command, "--spec", str(spec_file))
+    payload = json.loads(out)
+    assert (code, payload["kind"]) == (2, "input")
+    assert phrase in payload["error"]
