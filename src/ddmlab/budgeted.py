@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from operator import itemgetter
 
 from . import engine, measures, symbolic
@@ -50,12 +49,12 @@ class BudgetedProblem:
         )
 
 
-def _front(q, comps, cfg, node_cap, front_cap):
+def _front(q, comps, cfg):
     """Frame and root Pareto front of a query; (None, None) when it is empty."""
     frame = engine.build_frame(q, cfg)
     if frame is None:
         return None, None
-    return frame, engine._walk(frame, comps, partial(prune, cap=front_cap), node_cap)
+    return frame, engine._walk(frame, comps, prune)
 
 
 def _certify(q, comps, cfg, frame, option, certified):
@@ -87,11 +86,7 @@ def _cheapest_feasible(q, comps, bounds, cfg, frame, front, certified=None):
     return _certify(q, comps, cfg, frame, best, {} if certified is None else certified)
 
 
-def psi_budgeted(
-    p: BudgetedProblem,
-    node_cap: int = engine.NODE_CAP,
-    front_cap: int = engine.FRONT_CAP,
-) -> ValueCertificate:
+def psi_budgeted(p: BudgetedProblem) -> ValueCertificate:
     """Exact minimum objective cost subject to every strict budget.
 
     Raises InfeasibleError when no truncated cover meets the budgets, which
@@ -99,15 +94,11 @@ def psi_budgeted(
     """
     comps = [p.objective] + [m for m, _ in p.constraints]
     bounds = [b for _, b in p.constraints]
-    frame, front = _front(p.q, comps, p.cfg, node_cap, front_cap)
+    frame, front = _front(p.q, comps, p.cfg)
     return _cheapest_feasible(p.q, comps, bounds, p.cfg, frame, front)
 
 
-def brute_force_psi(
-    p: BudgetedProblem,
-    leaf_cap: int = 16,
-    labeling_cap: int = 400_000,
-) -> tuple[Fraction, tuple[Fraction, ...]]:
+def brute_force_psi(p: BudgetedProblem) -> tuple[Fraction, tuple[Fraction, ...]]:
     """Independent oracle: enumerate every grade labeling of the finest
     classes jointly, filter by the strict budgets, take the best objective."""
     comps = [p.objective] + [m for m, _ in p.constraints]
@@ -122,7 +113,7 @@ def brute_force_psi(
     best = min(
         (
             vec
-            for vec in costs(leaves, leaf_cap, labeling_cap)
+            for vec in costs(leaves)
             if all(c < b for c, b in zip(vec[1:], bounds))
         ),
         default=None,
@@ -180,10 +171,7 @@ def psi_eps_grid(
     sweep = engine.shift_sweep(q, i_list, cfg.depth, cfg.width)
     surrogate = engine.phi_truncated(q, phi, sweep[-1]).value
     comps = [psi, phi]
-    fronts = [
-        (cell_cfg,) + _front(q, comps, cell_cfg, engine.NODE_CAP, engine.FRONT_CAP)
-        for cell_cfg in sweep
-    ]
+    fronts = [(cell_cfg,) + _front(q, comps, cell_cfg) for cell_cfg in sweep]
     cells = {}
     certified: dict = {}  # shared by every cell, so each option is re-checked once
     for eps in eps_list:
@@ -200,7 +188,7 @@ def psi_eps_grid(
     return EpsGridResult(eps_list, i_list, surrogate, cells, eps_ok, i_ok)
 
 
-def _chain(q, phi, objectives, eps, cfg, node_cap, front_cap):
+def _chain(q, phi, objectives, eps, cfg):
     eps = Fraction(eps)
     if eps <= 0:
         raise RejectedInputError("slack must be positive")
@@ -215,7 +203,7 @@ def _chain(q, phi, objectives, eps, cfg, node_cap, front_cap):
     certs = []
     for objective in objectives:
         problem = BudgetedProblem(q, objective, tuple(constraints), cfg)
-        cert = psi_budgeted(problem, node_cap=node_cap, front_cap=front_cap)
+        cert = psi_budgeted(problem)
         certs.append(cert)
         constraints.append((objective, cert.value + eps))
     return certs
@@ -227,12 +215,10 @@ def psi_chain(
     psi_list,
     eps,
     cfg: TruncationConfig,
-    node_cap: int = engine.NODE_CAP,
-    front_cap: int = engine.FRONT_CAP,
 ) -> list[ValueCertificate]:
     """Inductive chain: each level's optimum plus the slack becomes the next
     level's budget.  Level k is a Pareto problem with k+1 cost components."""
-    return _chain(q, phi, list(psi_list), eps, cfg, node_cap, front_cap)
+    return _chain(q, phi, list(psi_list), eps, cfg)
 
 
 def psi_signed(
@@ -242,8 +228,6 @@ def psi_signed(
     c_list,
     eps,
     cfg: TruncationConfig,
-    node_cap: int = engine.NODE_CAP,
-    front_cap: int = engine.FRONT_CAP,
 ) -> list[ValueCertificate]:
     """Signed chain: level k optimizes psi_k - c_k * phi, and each level's
     signed optimum feeds the next level's budget.  With all c_k = 0 this is
@@ -258,4 +242,4 @@ def psi_signed(
         measures.SignedDiffMeasure(psi, c, phi) if c != 0 else psi
         for psi, c in zip(psi_list, c_list)
     ]
-    return _chain(q, phi, signed, eps, cfg, node_cap, front_cap)
+    return _chain(q, phi, signed, eps, cfg)

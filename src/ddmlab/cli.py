@@ -105,9 +105,14 @@ def default_spec() -> ProblemSpec:
     )
 
 
-def _maybe_decimal(payload: dict, value: Fraction, digits: int | None):
-    if digits is not None:
-        payload["decimal"] = decimal_string(value, digits)
+def _put_result(row: dict, value: Fraction, args, witness=None):
+    """Write ``value``, then its decimal form and the witness when asked for;
+    the insertion order is the CSV column order."""
+    row["value"] = format_rational(value)
+    if args.decimal is not None:
+        row["decimal"] = decimal_string(value, args.decimal)
+    if args.witness and witness is not None:
+        row["witness"] = witness_payload(witness)
 
 
 def _field(payload: dict, command: str, name: str, alternative: str = ""):
@@ -122,13 +127,8 @@ def cmd_eval(spec: ProblemSpec, payload: dict, args) -> tuple[dict, int]:
     mu = spec.measure(_field(payload, "eval", "measure"))
     s = spec.window_set(_field(payload, "eval", "set"))
     value = measures.eval0(mu, s)
-    out = {
-        "command": "eval",
-        "measure": payload["measure"],
-        "set": payload["set"],
-        "value": format_rational(value),
-    }
-    _maybe_decimal(out, value, args.decimal)
+    out = {"command": "eval", "measure": payload["measure"], "set": payload["set"]}
+    _put_result(out, value, args)
     return out, EXIT_OK
 
 
@@ -145,15 +145,8 @@ def cmd_phi(spec: ProblemSpec, payload: dict, args) -> tuple[dict, int]:
         for w in widths:
             for i in shifts:
                 cert = solver(q, mu, TruncationConfig(d, w, i))
-                row = {
-                    "D": d,
-                    "W": w,
-                    "i": i,
-                    "value": format_rational(cert.value),
-                }
-                _maybe_decimal(row, cert.value, args.decimal)
-                if args.witness:
-                    row["witness"] = witness_payload(cert.witness)
+                row = {"D": d, "W": w, "i": i}
+                _put_result(row, cert.value, args, cert.witness)
                 rows.append(row)
     return {"command": "phi", "base_graded": base_graded, "rows": rows}, EXIT_OK
 
@@ -172,10 +165,8 @@ def cmd_psi(spec: ProblemSpec, payload: dict, args) -> tuple[dict, int]:
                 parse_rational(_field(c, "psi constraint", "bound")),
             ))
         cert = psi_budgeted(BudgetedProblem(q, psi, tuple(constraints), cfg))
-        out = {"command": "psi", "value": format_rational(cert.value)}
-        _maybe_decimal(out, cert.value, args.decimal)
-        if args.witness:
-            out["witness"] = witness_payload(cert.witness)
+        out = {"command": "psi"}
+        _put_result(out, cert.value, args, cert.witness)
         return out, EXIT_OK
     phi = spec.measure(_field(payload, "psi", "phi", alternative="constraints"))
     eps_list = parse_rationals(_field(payload, "psi", "eps"), "eps")
@@ -189,10 +180,7 @@ def cmd_psi(spec: ProblemSpec, payload: dict, args) -> tuple[dict, int]:
             if cert is None:
                 row["value"] = "infeasible"
             else:
-                row["value"] = format_rational(cert.value)
-                _maybe_decimal(row, cert.value, args.decimal)
-                if args.witness:
-                    row["witness"] = witness_payload(cert.witness)
+                _put_result(row, cert.value, args, cert.witness)
             rows.append(row)
     out = {
         "command": "psi",
@@ -220,10 +208,8 @@ def cmd_chain(spec: ProblemSpec, payload: dict, args) -> tuple[dict, int]:
         certs = psi_signed(q, phi, objectives, parse_rationals(scales, "c"), eps, cfg)
     rows = []
     for level, cert in enumerate(certs, start=1):
-        row = {"level": level, "value": format_rational(cert.value)}
-        _maybe_decimal(row, cert.value, args.decimal)
-        if args.witness:
-            row["witness"] = witness_payload(cert.witness)
+        row = {"level": level}
+        _put_result(row, cert.value, args, cert.witness)
         rows.append(row)
     return {"command": "chain", "eps": format_rational(eps), "rows": rows}, EXIT_OK
 

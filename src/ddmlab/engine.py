@@ -52,8 +52,12 @@ from . import covers, measures, symbolic
 from .covers import Cover, TruncationConfig, ValueCertificate
 from .errors import BudgetExceededError, CertificateError, RejectedInputError, TooLargeError
 
-NODE_CAP = 500_000
-FRONT_CAP = 20_000
+# resource caps, read when a solve runs; past each one a solve raises
+NODE_CAP = 500_000  # tree nodes a walk visits
+FRONT_CAP = 20_000  # vectors a Pareto front keeps
+CLASS_CAP = 16  # finest classes the labeling oracle enumerates
+LABELING_CAP = 400_000  # grade labelings the labeling oracle enumerates
+POOL_CAP = 32  # grade cylinders the overlapping-cover oracle searches
 
 ZERO = Fraction(0)
 
@@ -116,17 +120,10 @@ def build_frame(
     return Frame(q.n, cfg.depth, cfg.base_shift, floor0, qlo, wlo, whi, cells)
 
 
-def _cylinder(frame: Frame, m: int, word: tuple[int, ...]) -> symbolic.WindowSet:
-    if frame.n ** len(word) > symbolic.TREE_CELLS:
-        return symbolic.WindowSet.cylinder(frame.n, frame.floor(m), word)
-    window = symbolic.Window(frame.floor(m), frame.whi)
-    return symbolic.WindowSet(frame.n, window, 1 << symbolic.word_rank(frame.n, word))
-
-
 # -- the take-or-split walk --------------------------------------------
 
 
-def prune(items, cap=FRONT_CAP):
+def prune(items):
     """Keep the nondominated (vector, trace) pairs, deterministic order.
 
     After the lexicographic sort no vector dominates one sorted before it,
@@ -137,7 +134,7 @@ def prune(items, cap=FRONT_CAP):
     for vec, trace in sorted(items, key=itemgetter(0)):
         if not any(all(a <= b for a, b in zip(kvec, vec)) for kvec, _ in kept):
             kept.append((vec, trace))
-    if len(kept) > cap:
+    if len(kept) > FRONT_CAP:
         raise BudgetExceededError("Pareto front exceeded the size cap")
     return kept
 
@@ -168,7 +165,7 @@ def _combine(fronts, keep):
     return acc
 
 
-def _walk(frame: Frame, comps, keep, node_cap: int):
+def _walk(frame: Frame, comps, keep):
     """Root front of (cost vector, trace) options of the take-or-split tree.
 
     A vector has one component per measure of ``comps``.  A trace is either
@@ -184,9 +181,9 @@ def _walk(frame: Frame, comps, keep, node_cap: int):
     def rec(word, cells, m):
         nonlocal count, rules
         count += 1
-        if count > node_cap:
+        if count > NODE_CAP:
             raise BudgetExceededError("refinement tree exceeded the node cap")
-        cyl = _cylinder(frame, m, word)
+        cyl = symbolic.WindowSet.cylinder(n, frame.floor(m), word)
         shift = frame.cost_shift(m)
         take = tuple([measures.eval_shifted(mu, shift, cyl) for mu in comps])
         options = [(take, (m, word))]
@@ -300,13 +297,13 @@ def _certificate(q, comps, cfg, frame, option, base_graded, vector):
     return ValueCertificate(vec[0], witness, cfg, vec if vector else None)
 
 
-def _phi_optimum(q, phi, cfg, node_cap, base_graded):
+def _phi_optimum(q, phi, cfg, base_graded):
     if not phi.nonnegative:
         raise RejectedInputError("cover optimization needs a nonnegative measure")
     frame = build_frame(q, cfg, base_graded)
     if frame is None:
         return ValueCertificate(ZERO, _cover((), cfg.base_shift, base_graded), cfg)
-    [option] = _walk(frame, [phi], _cheapest, node_cap)
+    [option] = _walk(frame, [phi], _cheapest)
     return _certificate(q, [phi], cfg, frame, option, base_graded, vector=False)
 
 
@@ -314,27 +311,25 @@ def phi_truncated(
     q: symbolic.WindowSet,
     phi: measures.CylinderMeasure,
     cfg: TruncationConfig,
-    node_cap: int = NODE_CAP,
 ) -> ValueCertificate:
     """Exact minimum cover cost within the truncated class, with witness.
 
     The value is an upper bound for the untruncated infimum and is
     nonincreasing in both depth and width.
     """
-    return _phi_optimum(q, phi, cfg, node_cap, base_graded=False)
+    return _phi_optimum(q, phi, cfg, base_graded=False)
 
 
 def phi_paren_truncated(
     q: symbolic.WindowSet,
     phi: measures.CylinderMeasure,
     cfg: TruncationConfig,
-    node_cap: int = NODE_CAP,
 ) -> ValueCertificate:
     """Base-graded variant: entries graded at m but priced at m + i.
 
     Coincides with :func:`phi_truncated` at i = 0 and is nonincreasing in i.
     """
-    return _phi_optimum(q, phi, cfg, node_cap, base_graded=True)
+    return _phi_optimum(q, phi, cfg, base_graded=True)
 
 
 # -- brute force oracle ------------------------------------------------
@@ -379,15 +374,15 @@ def _labeling_costs(frame: Frame, comps):
     def price(m, word):
         key = (m, word)
         if key not in cache:
-            cyl = _cylinder(frame, m, word)
+            cyl = symbolic.WindowSet.cylinder(frame.n, frame.floor(m), word)
             shift = frame.cost_shift(m)
             cache[key] = tuple(measures.eval_shifted(mu, shift, cyl) for mu in comps)
         return cache[key]
 
-    def costs(leaves, class_cap, labeling_cap):
-        if len(leaves) > class_cap:
+    def costs(leaves):
+        if len(leaves) > CLASS_CAP:
             raise TooLargeError(f"{len(leaves)} classes exceed the enumeration cap")
-        if (depth + 1) ** len(leaves) > labeling_cap:
+        if (depth + 1) ** len(leaves) > LABELING_CAP:
             raise TooLargeError("too many grade labelings to enumerate")
         for labeling in product(range(-depth, 1), repeat=len(leaves)):
             total = (ZERO,) * len(comps)
@@ -405,8 +400,6 @@ def brute_force_phi(
     phi: measures.CylinderMeasure,
     cfg: TruncationConfig,
     base_graded: bool = False,
-    class_cap: int = 16,
-    labeling_cap: int = 400_000,
 ) -> Fraction:
     """Independent exhaustive optimum over grade labelings of the finest
     classes.  Must equal the tree value; small instances only."""
@@ -419,7 +412,7 @@ def brute_force_phi(
     total = ZERO
     for leaves in _finest_classes(q, frame):
         # roots are independent, so each is enumerated on its own
-        total += min(costs(leaves, class_cap, labeling_cap))[0]
+        total += min(costs(leaves))[0]
     return total
 
 
@@ -427,7 +420,6 @@ def brute_force_phi_overlapping(
     q: symbolic.WindowSet,
     phi: measures.CylinderMeasure,
     cfg: TruncationConfig,
-    pool_cap: int = 32,
 ) -> Fraction:
     """Exact optimum over possibly overlapping covers drawn from the grade
     cylinders of the working window, by branch-and-bound set cover.
@@ -448,11 +440,10 @@ def brute_force_phi_overlapping(
             mask = 0
             for cell in group:
                 mask |= 1 << index[cell]
-            cost = measures.eval_shifted(
-                phi, frame.cost_shift(m), _cylinder(frame, m, suffix)
-            )
+            cyl = symbolic.WindowSet.cylinder(frame.n, frame.floor(m), suffix)
+            cost = measures.eval_shifted(phi, frame.cost_shift(m), cyl)
             pool.append((cost, mask))
-    if len(pool) > pool_cap:
+    if len(pool) > POOL_CAP:
         raise TooLargeError(f"cylinder pool of {len(pool)} exceeds the cap")
     full = (1 << len(cells)) - 1
     best = [None]

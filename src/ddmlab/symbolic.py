@@ -33,6 +33,7 @@ listing its words or its bitset stays under the MAX_CELLS cap.
 from __future__ import annotations
 
 import math
+import operator
 import weakref
 from dataclasses import dataclass
 from itertools import product
@@ -157,8 +158,8 @@ class WindowSet:
         if not word:
             raise RejectedInputError("cylinder needs at least one symbol")
         window = Window(start, start + len(word) - 1)
-        if n ** window.span > TREE_CELLS:
-            return _TreeSet(n, window, _ranks_tree(n, [word_rank(n, word)], window.span))
+        if n ** len(word) > TREE_CELLS:
+            return _TreeSet(n, window, _ranks_tree(n, [word_rank(n, word)], len(word)))
         return cls(n, window, 1 << word_rank(n, word))
 
     @classmethod
@@ -533,22 +534,24 @@ def _tree_on(n: int, key, lo: int) -> _Node:
     return bits
 
 
-_TRUTH = {
-    "union": lambda x, y: x or y,
-    "intersection": lambda x, y: x and y,
-    "difference": lambda x, y: x and not y,
+# the set operations, on bitsets and on 0/1 flags for degenerate sets and a
+# tree's leaves (flags are ints: ``~`` on a bool is deprecated)
+_OPS = {
+    "union": operator.or_,
+    "intersection": operator.and_,
+    "difference": lambda x, y: x & ~y,
 }
 
 
-def _apply(truth, u: _Node, v: _Node, memo: dict) -> _Node:
+def _apply(op, u: _Node, v: _Node, memo: dict) -> _Node:
     """Tree of the Boolean combination of two trees read from one coordinate."""
     if u.kids is None and v.kids is None:
-        return _FULL if truth(u is _FULL, v is _FULL) else _EMPTY
+        return _FULL if op(int(u is _FULL), int(v is _FULL)) else _EMPTY
     node = memo.get((u, v))
     if node is None:
         n = len(u.kids or v.kids)
         pairs = zip(u.kids or (u,) * n, v.kids or (v,) * n)
-        node = memo[(u, v)] = _node(tuple(_apply(truth, x, y, memo) for x, y in pairs))
+        node = memo[(u, v)] = _node(tuple(_apply(op, x, y, memo) for x, y in pairs))
     return node
 
 
@@ -575,6 +578,9 @@ def set_algebra(a: WindowSet, b: WindowSet, op: str) -> WindowSet:
     """
     if a.n != b.n:
         raise RejectedInputError("operands live over different alphabets")
+    combine = _OPS.get(op)
+    if combine is None:
+        raise RejectedInputError(f"unknown set operation {op!r}")
     ka, kb = a.canonical_key(), b.canonical_key()
     degens = (("empty",), ("full",))
     if ka in degens and kb in degens:
@@ -586,30 +592,13 @@ def set_algebra(a: WindowSet, b: WindowSet, op: str) -> WindowSet:
     else:
         window = Window(min(ka[0], kb[0]), max(ka[1], kb[1]))
     if window is None:
-        fa, fb = ka == ("full",), kb == ("full",)
-        if op == "union":
-            res = fa or fb
-        elif op == "intersection":
-            res = fa and fb
-        elif op == "difference":
-            res = fa and not fb
-        else:
-            raise RejectedInputError(f"unknown set operation {op!r}")
-        return WindowSet.full_space(a.n) if res else WindowSet.empty(a.n)
+        if combine(int(ka == ("full",)), int(kb == ("full",))):
+            return WindowSet.full_space(a.n)
+        return WindowSet.empty(a.n)
     if a.n ** window.span > TREE_CELLS:
-        if op not in _TRUTH:
-            raise RejectedInputError(f"unknown set operation {op!r}")
         u, v = _tree_on(a.n, ka, window.lo), _tree_on(a.n, kb, window.lo)
-        return _TreeSet(a.n, window, _apply(_TRUTH[op], u, v, {})).canonicalize()
-    ba, bb = a.bits_on(window), b.bits_on(window)
-    if op == "union":
-        bits = ba | bb
-    elif op == "intersection":
-        bits = ba & bb
-    elif op == "difference":
-        bits = ba & ~bb
-    else:
-        raise RejectedInputError(f"unknown set operation {op!r}")
+        return _TreeSet(a.n, window, _apply(combine, u, v, {})).canonicalize()
+    bits = combine(a.bits_on(window), b.bits_on(window))
     return WindowSet(a.n, window, bits).canonicalize()
 
 
@@ -662,7 +651,7 @@ def project_min(s: WindowSet, g: int) -> WindowSet:
                 kids = bits.kids
                 bits = kids[0]
                 for kid in kids[1:]:
-                    bits = _apply(_TRUTH["union"], bits, kid, memo)
+                    bits = _apply(_OPS["union"], bits, kid, memo)
         return _TreeSet(n, Window(g, hi), bits).canonicalize()
     span = hi - lo + 1
     for _ in range(g - lo):

@@ -21,6 +21,8 @@ from .errors import GridNotMonotoneError, RejectedInputError, TooLargeError
 
 ZERO = Fraction(0)
 
+ALGEBRA_CAP = 4096  # most members a FiniteAlgebra enumerates
+
 PASS = "PASS"
 FAIL = "FAIL"
 INCONCLUSIVE = "INCONCLUSIVE"
@@ -128,7 +130,7 @@ def psi_handle(
     comps = [psi, phi]
 
     def evaluator(s):
-        frame, front = _front(s, comps, cfg, engine.NODE_CAP, engine.FRONT_CAP)
+        frame, front = _front(s, comps, cfg)
         certified: dict = {}
         base = ZERO
         if frame is not None:
@@ -147,7 +149,7 @@ class FiniteAlgebra:
     union of atoms, so the closure is enumerated directly.
     """
 
-    def __init__(self, n: int, generators: Sequence[symbolic.WindowSet], cap: int = 4096):
+    def __init__(self, n: int, generators: Sequence[symbolic.WindowSet]):
         self.n = n
         self.generators = tuple(generators)
         lo = min(
@@ -166,7 +168,7 @@ class FiniteAlgebra:
             signature = tuple(bool((b >> cell) & 1) for b in gen_bits)
             atoms[signature] = atoms.get(signature, 0) | (1 << cell)
         atom_masks = sorted(atoms.values())
-        if 1 << len(atom_masks) > cap:
+        if 1 << len(atom_masks) > ALGEBRA_CAP:
             raise TooLargeError("algebra closure exceeded the cap")
         members = {}
         for pick in range(1 << len(atom_masks)):
@@ -187,10 +189,10 @@ class FiniteAlgebra:
 
 
 def _member_order(s: symbolic.WindowSet) -> str:
-    """Sort key of an algebra member: its canonical key, with a tree-form
-    set's bitset on its canonical window in place of the tree."""
+    """Sort key of an algebra member: its canonical window and its bitset on
+    that window, whichever form the set is kept in."""
     key = s.canonical_key()
-    if len(key) == 3 and not isinstance(key[2], int):
+    if len(key) == 3:
         key = (key[0], key[1], s.bits_on(symbolic.Window(key[0], key[1])))
     return repr(key)
 

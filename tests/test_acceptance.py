@@ -7,14 +7,17 @@ limits are asserted with a monotonic clock.
 
 import hashlib
 import json
+import os
 import random
 import subprocess
 import sys
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import ddmlab
 from ddmlab import measures, suites, verify
 from ddmlab.budgeted import BudgetedProblem, psi_budgeted, psi_eps_grid, psi_signed
 from ddmlab.cli import main
@@ -271,8 +274,12 @@ def test_criterion_11_norm_defect():
 
 def test_criterion_12_byte_identical_verification():
     cmd = [sys.executable, "-m", "ddmlab", "verify", "all", "--seed", "7"]
-    first = subprocess.run(cmd, capture_output=True, check=False)
-    second = subprocess.run(cmd, capture_output=True, check=False)
+    # the child imports the package the tests import, installed or not
+    src = str(Path(ddmlab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    first = subprocess.run(cmd, capture_output=True, check=False, env=env)
+    second = subprocess.run(cmd, capture_output=True, check=False, env=env)
     assert first.returncode == 0, first.stdout.decode()[:500]
     assert second.returncode == 0
     assert first.stdout == second.stdout

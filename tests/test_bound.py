@@ -115,12 +115,12 @@ class TestFullSubtreeGuard:
         mu = measures.BernoulliMeasure((F(1, 3), F(2, 3)))
         nodes = counted_walk(monkeypatch)
         engine._walk(engine.build_frame(cyl(0, 0), TruncationConfig(12, 1, 0)),
-                     [mu], engine._cheapest, engine.NODE_CAP)
+                     [mu], engine._cheapest)
         assert len(nodes) == 2
         nodes.clear()
         with unbounded():
             engine._walk(engine.build_frame(cyl(0, 0), TruncationConfig(6, 1, 0)),
-                         [mu], engine._cheapest, engine.NODE_CAP)
+                         [mu], engine._cheapest)
         assert len(nodes) == 2 * (2 ** 7 - 1)
 
     def test_signed_components_are_never_bounded(self, monkeypatch):
@@ -128,7 +128,7 @@ class TestFullSubtreeGuard:
                                             F(1, 4), UNIFORM_CHAIN)
         nodes = counted_walk(monkeypatch)
         frame = engine.build_frame(cyl(0, 0), TruncationConfig(3, 0, 0))
-        engine._walk(frame, [UNIFORM_CHAIN, signed], budgeted.prune, engine.NODE_CAP)
+        engine._walk(frame, [UNIFORM_CHAIN, signed], budgeted.prune)
         assert len(nodes) == 2 * (2 ** 4 - 1)  # every node, both components
 
 
@@ -208,7 +208,7 @@ def test_bound_keeps_value_and_witness(instance, kind, base_graded):
 
 
 def front_of(q, comps, cfg):
-    frame, front = budgeted._front(q, comps, cfg, engine.NODE_CAP, engine.FRONT_CAP)
+    frame, front = budgeted._front(q, comps, cfg)
     return frame, [(vec, sorted(engine._taken(trace))) for vec, trace in front]
 
 
@@ -229,7 +229,7 @@ def test_fronts_agree_with_joint_enumeration(instance, kind, constraint_kind):
     leaves = [leaf for classes in engine._finest_classes(q, frame) for leaf in classes]
     assume((cfg.depth + 1) ** len(leaves) <= 5000)
     costs = engine._labeling_costs(frame, comps)
-    assert [vec for vec, _ in front] == nondominated(costs(leaves, 16, 5000))
+    assert [vec for vec, _ in front] == nondominated(costs(leaves))
     # a strict budget just above each front vector's constraint cost
     for vec, _ in front:
         problem = BudgetedProblem(q, comps[0], ((comps[1], vec[1] + F(1, 10 ** 6)),), cfg)

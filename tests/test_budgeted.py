@@ -51,7 +51,7 @@ def overlapping_budgeted_oracle(problem):
             mask = 0
             for cell in group:
                 mask |= 1 << index[cell]
-            cylnder = engine._cylinder(frame, m, suffix)
+            cylnder = WindowSet.cylinder(frame.n, frame.floor(m), suffix)
             vec = tuple(
                 measures.eval_shifted(c, frame.cost_shift(m), cylnder) for c in comps
             )

@@ -2,16 +2,19 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
 import ddmlab
-from ddmlab import cli
+from ddmlab import budgeted, cli, engine
+from ddmlab.budgeted import BudgetedProblem, psi_budgeted
 from ddmlab.cli import main
 from ddmlab.covers import Cover, cover_cost, is_valid_cover
+from ddmlab.errors import BudgetExceededError
 from ddmlab.measures import DiracMeasure
-from ddmlab.specfile import parse_set
+from ddmlab.specfile import load_spec, parse_set
 from ddmlab.symbolic import WindowSet
 
 SPEC = {
@@ -223,6 +226,36 @@ def test_resource_cap_exit_code(tmp_path, capsys):
     code, out = run(capsys, "chain", "--spec", str(path))
     assert code == 3
     assert json.loads(out)["kind"] == "resource"
+
+
+def test_front_cap_is_a_resource_error(tmp_path, capsys, monkeypatch):
+    spec = dict(SPEC)
+    spec["sets"] = dict(SPEC["sets"], left="cyl(-1,[0])")
+    spec["commands"] = {
+        "psi": {
+            "objective": "chain",
+            "set": "left",
+            "config": "c",
+            "constraints": [{"measure": "point", "bound": "1/2"}],
+        }
+    }
+    path = tmp_path / "front.json"
+    path.write_text(json.dumps(spec))
+    loaded = load_spec(str(path))
+    chain, point = loaded.measure("chain"), loaded.measure("point")
+    problem = BudgetedProblem(
+        loaded.window_set("left"), chain, ((point, F(1, 2)),), loaded.config("c")
+    )
+    # the chain and the point mass trade off: two vectors at the root
+    _, front = budgeted._front(problem.q, [chain, point], problem.cfg)
+    assert [vec for vec, _ in front] == [(F(1, 3), F(1)), (F(5, 6), F(0))]
+    assert psi_budgeted(problem).value == F(5, 6)
+    monkeypatch.setattr(engine, "FRONT_CAP", 1)
+    with pytest.raises(BudgetExceededError):
+        psi_budgeted(problem)
+    code, out = run(capsys, "psi", "--spec", str(path))
+    assert code == 3
+    assert '"kind": "resource"' in out
 
 
 def test_forged_price_is_an_internal_error_under_optimize_flag():

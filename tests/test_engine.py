@@ -314,17 +314,20 @@ class TestThreeSymbols:
 
 
 class TestCaps:
-    def test_node_cap(self):
+    def test_node_cap(self, monkeypatch):
+        monkeypatch.setattr(engine, "NODE_CAP", 3)
         with pytest.raises(BudgetExceededError):
-            phi_truncated(X, ALT, TruncationConfig(3, 2, 0), node_cap=3)
+            phi_truncated(X, ALT, TruncationConfig(3, 2, 0))
 
-    def test_brute_force_cap(self):
+    def test_brute_force_cap(self, monkeypatch):
+        monkeypatch.setattr(engine, "LABELING_CAP", 10)
         with pytest.raises(TooLargeError):
-            brute_force_phi(X, ALT, TruncationConfig(3, 3, 0), labeling_cap=10)
+            brute_force_phi(X, ALT, TruncationConfig(3, 3, 0))
 
-    def test_overlapping_pool_cap(self):
+    def test_overlapping_pool_cap(self, monkeypatch):
+        monkeypatch.setattr(engine, "POOL_CAP", 4)
         with pytest.raises(TooLargeError):
-            brute_force_phi_overlapping(X, ALT, TruncationConfig(2, 2, 0), pool_cap=4)
+            brute_force_phi_overlapping(X, ALT, TruncationConfig(2, 2, 0))
 
     def test_window_override_must_contain_the_query(self):
         with pytest.raises(RejectedInputError):

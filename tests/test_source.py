@@ -1,4 +1,5 @@
 import ast
+import inspect
 from pathlib import Path
 
 import ddmlab
@@ -17,4 +18,35 @@ def test_no_assert_statements_in_the_package():
             for node in ast.walk(tree)
             if isinstance(node, ast.Assert)
         ]
+    assert found == []
+
+
+def test_no_public_cap_parameters():
+    # every resource cap is a module constant read at call time, never a knob
+    from ddmlab.engine import prune
+    from ddmlab.verify import FiniteAlgebra
+
+    api = [getattr(ddmlab, name) for name in ddmlab.__all__]
+    found = [
+        f"{fn.__name__}({name})"
+        for fn in [obj for obj in api if callable(obj)] + [FiniteAlgebra, prune]
+        for name in inspect.signature(fn).parameters
+        if name.endswith("cap")
+    ]
+    assert found == []
+
+
+def test_engine_and_verify_leave_set_forms_to_symbolic():
+    # whether a set is a bitset or a tree is decided in ``symbolic`` alone
+    root = Path(ddmlab.__file__).parent
+    forms = {"TREE_CELLS", "_Node", "tree_cells", "_TreeSet"}
+    found = []
+    for module in ("engine.py", "verify.py"):
+        tree = ast.parse((root / module).read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if isinstance(node, ast.alias):
+                name = node.name
+            if name in forms:
+                found.append(f"{module}:{node.lineno} {name}")
     assert found == []

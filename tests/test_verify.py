@@ -97,7 +97,7 @@ class TestFiniteAlgebra:
     def test_cap(self):
         gens = [cyl(j, 0) for j in range(-2, 3)]
         with pytest.raises(TooLargeError):
-            FiniteAlgebra(2, gens, cap=1000)
+            FiniteAlgebra(2, gens)
 
 
 class TestCaratheodorySplitting:
