@@ -19,10 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
 
 from . import engine, measures, symbolic
-from .covers import Cover, TruncationConfig, ValueCertificate
+from .covers import TruncationConfig, ValueCertificate
 from .engine import prune
 from .errors import DimensionCapError, InfeasibleError, RejectedInputError
 
@@ -49,43 +48,6 @@ class BudgetedProblem:
         )
 
 
-def _front(q, comps, cfg):
-    """Frame and root Pareto front of a query; (None, None) when it is empty."""
-    frame = engine.build_frame(q, cfg)
-    if frame is None:
-        return None, None
-    return frame, engine._walk(frame, comps, prune)
-
-
-def _certify(q, comps, cfg, frame, option, certified):
-    """Certificate of a root option, re-checked through the window-set path
-    once per ``certified`` dict.  The dict is keyed by the option's identity,
-    so it must not outlive the front that holds the option."""
-    cert = certified.get(id(option))
-    if cert is None:
-        cert = engine._certificate(q, comps, cfg, frame, option, base_graded=False, vector=True)
-        certified[id(option)] = cert
-    return cert
-
-
-def _cheapest_feasible(q, comps, bounds, cfg, frame, front, certified=None):
-    """Certificate of the cheapest option of a root front whose components
-    1..k stay strictly below ``bounds``; a caller filtering one front for
-    several bounds passes one ``certified`` dict to re-check each option once."""
-    if frame is None:
-        if all(b > 0 for b in bounds):
-            empty = Cover((), base_shift=cfg.base_shift)
-            return ValueCertificate(ZERO, empty, cfg, (ZERO,) * len(comps))
-        raise InfeasibleError("empty set infeasible under a nonpositive budget")
-    feasible = [opt for opt in front if all(c < b for c, b in zip(opt[0][1:], bounds))]
-    if not feasible:
-        raise InfeasibleError(
-            f"no cover meets the budgets {bounds} at this truncation"
-        )
-    best = min(feasible, key=itemgetter(0))
-    return _certify(q, comps, cfg, frame, best, {} if certified is None else certified)
-
-
 def psi_budgeted(p: BudgetedProblem) -> ValueCertificate:
     """Exact minimum objective cost subject to every strict budget.
 
@@ -93,9 +55,7 @@ def psi_budgeted(p: BudgetedProblem) -> ValueCertificate:
     signals the slack is too small for this truncation.
     """
     comps = [p.objective] + [m for m, _ in p.constraints]
-    bounds = [b for _, b in p.constraints]
-    frame, front = _front(p.q, comps, p.cfg)
-    return _cheapest_feasible(p.q, comps, bounds, p.cfg, frame, front)
+    return engine.RootFront(p.q, comps, p.cfg, prune).cheapest([b for _, b in p.constraints])
 
 
 def brute_force_psi(p: BudgetedProblem) -> tuple[Fraction, tuple[Fraction, ...]]:
@@ -170,16 +130,12 @@ def psi_eps_grid(
             )
     sweep = engine.shift_sweep(q, i_list, cfg.depth, cfg.width)
     surrogate = engine.phi_truncated(q, phi, sweep[-1]).value
-    comps = [psi, phi]
-    fronts = [(cell_cfg,) + _front(q, comps, cell_cfg) for cell_cfg in sweep]
+    roots = [engine.RootFront(q, [psi, phi], cell_cfg, prune) for cell_cfg in sweep]
     cells = {}
-    certified: dict = {}  # shared by every cell, so each option is re-checked once
     for eps in eps_list:
-        for i, (cell_cfg, frame, front) in zip(i_list, fronts):
+        for i, root in zip(i_list, roots):
             try:
-                cells[(eps, i)] = _cheapest_feasible(
-                    q, comps, [surrogate + eps], cell_cfg, frame, front, certified
-                )
+                cells[(eps, i)] = root.cheapest([surrogate + eps])
             except InfeasibleError:
                 cells[(eps, i)] = None
     values = {key: None if cert is None else cert.value for key, cert in cells.items()}
@@ -194,7 +150,7 @@ def _chain(q, phi, objectives, eps, cfg):
         raise RejectedInputError("slack must be positive")
     if len(objectives) > CHAIN_CAP:
         raise DimensionCapError(
-            f"chain of length {len(objectives)} beyond the cap {CHAIN_CAP}"
+            f"chain of length {len(objectives)} beyond the cap (budgeted.CHAIN_CAP = {CHAIN_CAP})"
         )
     surrogate = engine.phi_truncated(q, phi, cfg).value
     constraints: list[tuple[measures.CylinderMeasure, Fraction]] = [

@@ -30,13 +30,14 @@ the subtree's optimum and its children are not expanded.  Take wins ties
 in every keep rule, so the bound changes no value, witness or front.
 Components that may be negative are never bounded.
 
-One walk of this tree serves every optimizer.  Each node returns a front of
-(cost vector, trace) options, one cost component per measure, reduced by a
-``keep`` rule: the scalar problem is the one-component case that keeps the
-first cheapest option, and budgeted problems (module ``budgeted``) keep the
-Pareto antichain left by :func:`prune`.  Every optimum's witness is
-re-validated and re-priced on each component through the window-set path,
-and a mismatch raises :class:`CertificateError`.  An independent
+One walk of this tree serves every optimizer, through :class:`RootFront`.
+Each node returns a front of (cost vector, trace) options, one cost
+component per measure, reduced by a ``keep`` rule: the scalar problem is
+the one-component case that keeps the first cheapest option, and budgeted
+problems (module ``budgeted``) keep the Pareto antichain left by
+:func:`prune`.  Every optimum's witness is re-validated and re-priced on
+each component through the window-set path, and a mismatch raises
+:class:`CertificateError`.  An independent
 brute-force enumerator over grade labelings of the finest classes is the
 oracle for both problems.
 """
@@ -46,11 +47,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from operator import add, itemgetter
+from operator import add, itemgetter, lt
 
 from . import covers, measures, symbolic
 from .covers import Cover, TruncationConfig, ValueCertificate
-from .errors import BudgetExceededError, CertificateError, RejectedInputError, TooLargeError
+from .errors import (
+    BudgetExceededError, CertificateError, InfeasibleError, RejectedInputError, TooLargeError
+)
 
 # resource caps, read when a solve runs; past each one a solve raises
 NODE_CAP = 500_000  # tree nodes a walk visits
@@ -135,7 +138,9 @@ def prune(items):
         if not any(all(a <= b for a, b in zip(kvec, vec)) for kvec, _ in kept):
             kept.append((vec, trace))
     if len(kept) > FRONT_CAP:
-        raise BudgetExceededError("Pareto front exceeded the size cap")
+        raise BudgetExceededError(
+            f"Pareto front exceeded the size cap (engine.FRONT_CAP = {FRONT_CAP})"
+        )
     return kept
 
 
@@ -182,7 +187,9 @@ def _walk(frame: Frame, comps, keep):
         nonlocal count, rules
         count += 1
         if count > NODE_CAP:
-            raise BudgetExceededError("refinement tree exceeded the node cap")
+            raise BudgetExceededError(
+                f"refinement tree exceeded the node cap (engine.NODE_CAP = {NODE_CAP})"
+            )
         cyl = symbolic.WindowSet.cylinder(n, frame.floor(m), word)
         shift = frame.cost_shift(m)
         take = tuple([measures.eval_shifted(mu, shift, cyl) for mu in comps])
@@ -250,9 +257,9 @@ def _take_attains(rules, take, word, k, at):
 
 
 def _taken(trace):
-    """The (level, word) nodes taken in a trace."""
+    """The (level, word) nodes taken in a trace; none in the empty trace."""
     out = []
-    stack = [trace]
+    stack = [trace] if trace else []
     while stack:
         trace = stack.pop()
         if isinstance(trace[0], int):
@@ -262,13 +269,45 @@ def _taken(trace):
     return out
 
 
-def _cover(entries, base_shift: int, base_graded: bool) -> Cover:
-    if base_graded:
-        return Cover(entries, base_shift=0, cost_base=base_shift)
-    return Cover(entries, base_shift=base_shift)
+class RootFront:
+    """The root front of one query's take-or-split walk under a keep rule,
+    with the certificate of each option re-checked at most once.
+
+    ``options`` lists the (cost vector, trace) options of the root; the
+    empty query has the single option of the empty cover, at cost 0 in
+    every component.  Certificates of the scalar keep rule carry no cost
+    vector; those of every other keep rule carry it.
+    """
+
+    def __init__(self, q, comps, cfg, keep, base_graded=False):
+        self.q, self.comps, self.cfg, self.base_graded = q, comps, cfg, base_graded
+        self.vector = keep is not _cheapest
+        self.frame = build_frame(q, cfg, base_graded)
+        if self.frame is None:
+            self.options = [((ZERO,) * len(comps), ())]
+        else:
+            self.options = _walk(self.frame, comps, keep)
+        self._certificates: dict[int, ValueCertificate] = {}
+
+    def certificate(self, k: int) -> ValueCertificate:
+        """Certificate of option k, re-checked on its first request."""
+        cert = self._certificates.get(k)
+        if cert is None:
+            cert = self._certificates[k] = _certificate(self, self.options[k])
+        return cert
+
+    def cheapest(self, bounds=()) -> ValueCertificate:
+        """Certificate of the least option whose components 1..k stay
+        strictly below ``bounds``; InfeasibleError when there is none."""
+        options = self.options
+        feasible = [k for k, (vec, _) in enumerate(options) if all(map(lt, vec[1:], bounds))]
+        if not feasible:
+            raise InfeasibleError(f"no cover meets the budgets {bounds} at this truncation")
+        return self.certificate(min(feasible, key=lambda k: options[k][0]))
 
 
-def _witness(frame: Frame, trace, base_graded: bool) -> Cover:
+def _witness(root: RootFront, trace) -> Cover:
+    frame = root.frame
     per_level: dict[int, list] = {}
     for m, word in _taken(trace):
         per_level.setdefault(m, []).append(word)
@@ -277,34 +316,31 @@ def _witness(frame: Frame, trace, base_graded: bool) -> Cover:
         window = symbolic.Window(frame.floor(m), frame.whi)
         entry = symbolic.WindowSet.from_words(frame.n, window, per_level[m]).canonicalize()
         entries.append((m, entry))
-    return _cover(tuple(entries), frame.base_shift, base_graded)
+    if root.base_graded:
+        return Cover(tuple(entries), base_shift=0, cost_base=root.cfg.base_shift)
+    return Cover(tuple(entries), base_shift=root.cfg.base_shift)
 
 
-def _certificate(q, comps, cfg, frame, option, base_graded, vector):
+def _certificate(root: RootFront, option) -> ValueCertificate:
     """Certificate of a root option, whose witness is re-validated and
-    re-priced on every cost component through the window-set path; the
-    cost vector is attached when ``vector`` is set."""
+    re-priced on every cost component through the window-set path."""
     vec, trace = option
-    witness = _witness(frame, trace, base_graded)
-    if not covers.is_valid_cover(q, witness):
+    witness = _witness(root, trace)
+    if not covers.is_valid_cover(root.q, witness):
         raise CertificateError("the witness is not a graded cover of the query")
-    for k, mu in enumerate(comps):
+    for k, mu in enumerate(root.comps):
         price = covers.cover_cost(witness, mu)
         if price != vec[k]:
             raise CertificateError(
                 f"the witness prices cost component {k} at {price}, not {vec[k]}"
             )
-    return ValueCertificate(vec[0], witness, cfg, vec if vector else None)
+    return ValueCertificate(vec[0], witness, root.cfg, vec if root.vector else None)
 
 
 def _phi_optimum(q, phi, cfg, base_graded):
     if not phi.nonnegative:
         raise RejectedInputError("cover optimization needs a nonnegative measure")
-    frame = build_frame(q, cfg, base_graded)
-    if frame is None:
-        return ValueCertificate(ZERO, _cover((), cfg.base_shift, base_graded), cfg)
-    [option] = _walk(frame, [phi], _cheapest)
-    return _certificate(q, [phi], cfg, frame, option, base_graded, vector=False)
+    return RootFront(q, [phi], cfg, _cheapest, base_graded).certificate(0)
 
 
 def phi_truncated(
@@ -381,9 +417,13 @@ def _labeling_costs(frame: Frame, comps):
 
     def costs(leaves):
         if len(leaves) > CLASS_CAP:
-            raise TooLargeError(f"{len(leaves)} classes exceed the enumeration cap")
+            raise TooLargeError(
+                f"{len(leaves)} classes exceed the enumeration cap (engine.CLASS_CAP = {CLASS_CAP})"
+            )
         if (depth + 1) ** len(leaves) > LABELING_CAP:
-            raise TooLargeError("too many grade labelings to enumerate")
+            raise TooLargeError(
+                f"too many grade labelings to enumerate (engine.LABELING_CAP = {LABELING_CAP})"
+            )
         for labeling in product(range(-depth, 1), repeat=len(leaves)):
             total = (ZERO,) * len(comps)
             for m in set(labeling):
@@ -444,7 +484,9 @@ def brute_force_phi_overlapping(
             cost = measures.eval_shifted(phi, frame.cost_shift(m), cyl)
             pool.append((cost, mask))
     if len(pool) > POOL_CAP:
-        raise TooLargeError(f"cylinder pool of {len(pool)} exceeds the cap")
+        raise TooLargeError(
+            f"cylinder pool of {len(pool)} exceeds the cap (engine.POOL_CAP = {POOL_CAP})"
+        )
     full = (1 << len(cells)) - 1
     best = [None]
 

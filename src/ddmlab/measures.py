@@ -362,9 +362,9 @@ def eval_shifted(mu: CylinderMeasure, m: int, s: symbolic.WindowSet) -> Fraction
         return eval0(mu, s)
     if key[0] < m:
         raise GradingViolationError(f"set depends on coordinate {key[0]} below grade {m}")
-    # the shifted window must stay inside the coordinate bound (its left
-    # edge moves right, so only the right edge can leave it)
-    symbolic._check_coordinate(s.window.hi - m)
+    # the words are read at their left edge moved m coordinates right, and
+    # that coordinate must stay inside the bound
+    symbolic._check_coordinate(key[0] - m)
     if mu.symbols != s.n:
         raise RejectedInputError("set and measure alphabets disagree")
     return _cell_sum(mu, s.n, key, m)

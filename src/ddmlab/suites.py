@@ -388,8 +388,8 @@ def caratheodory_config(depth: int = 1):
 
 def suite_caratheodory(seed: int) -> Report:
     """Splitting identity and closure of the splitting family for truncated
-    and budgeted optima over an explicit finite algebra."""
-    rng = random.Random(seed)
+    and budgeted optima over an explicit finite algebra.  The suite draws
+    nothing at random, so its report does not depend on the seed."""
     n = 2
     report = Report("splitting identity at finite scale")
     generators = [

@@ -90,6 +90,7 @@ def _cell_count(n: int, window: Window) -> int:
     if count > MAX_CELLS:
         raise BitsetCapError(
             f"window span {window.span} over {n} symbols exceeds the bitset cap"
+            f" (symbolic.MAX_CELLS = {MAX_CELLS})"
         )
     return count
 
@@ -514,7 +515,10 @@ def tree_cells(n: int, key, weight=lambda word: 1) -> list[tuple[int, ...]]:
         if node is _FULL:
             total += weight(word)
             if total > MAX_CELLS:
-                raise BitsetCapError(f"a set over {n} symbols lists more cells than the bitset cap")
+                raise BitsetCapError(
+                    f"a set over {n} symbols lists more cells than the bitset cap"
+                    f" (symbolic.MAX_CELLS = {MAX_CELLS})"
+                )
             cells.append(word)
         elif node.kids is not None:
             stack.extend((kid, word + (a,)) for a, kid in reversed(list(enumerate(node.kids))))

@@ -120,8 +120,6 @@ def psi_handle(
     attaining the base is re-checked through the window-set path like the
     chosen option, each distinct option once per query.
     """
-    from .budgeted import _certify, _cheapest_feasible, _front
-
     if cfg.window_lo is None or cfg.window_hi is None:
         raise RejectedInputError("handle configs must pin the working window")
     if not phi.nonnegative:
@@ -130,13 +128,10 @@ def psi_handle(
     comps = [psi, phi]
 
     def evaluator(s):
-        frame, front = _front(s, comps, cfg)
-        certified: dict = {}
-        base = ZERO
-        if frame is not None:
-            least = min(front, key=lambda option: option[0][1])
-            base = _certify(s, comps, cfg, frame, least, certified).vector[1]
-        return _cheapest_feasible(s, comps, [base + eps], cfg, frame, front, certified).value
+        root = engine.RootFront(s, comps, cfg, engine.prune)
+        least = min(range(len(root.options)), key=lambda k: root.options[k][0][1])
+        base = root.certificate(least).vector[1]
+        return root.cheapest([base + eps]).value
 
     return SetFunctionHandle(label, evaluator, psi.symbols)
 
@@ -169,7 +164,9 @@ class FiniteAlgebra:
             atoms[signature] = atoms.get(signature, 0) | (1 << cell)
         atom_masks = sorted(atoms.values())
         if 1 << len(atom_masks) > ALGEBRA_CAP:
-            raise TooLargeError("algebra closure exceeded the cap")
+            raise TooLargeError(
+                f"algebra closure exceeded the cap (verify.ALGEBRA_CAP = {ALGEBRA_CAP})"
+            )
         members = {}
         for pick in range(1 << len(atom_masks)):
             bits = 0

@@ -208,8 +208,8 @@ def test_bound_keeps_value_and_witness(instance, kind, base_graded):
 
 
 def front_of(q, comps, cfg):
-    frame, front = budgeted._front(q, comps, cfg)
-    return frame, [(vec, sorted(engine._taken(trace))) for vec, trace in front]
+    root = engine.RootFront(q, comps, cfg, budgeted.prune)
+    return root.frame, [(vec, sorted(engine._taken(trace))) for vec, trace in root.options]
 
 
 def nondominated(vectors):

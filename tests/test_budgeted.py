@@ -193,10 +193,10 @@ class TestEpsGrid:
         checks = []
         certificate = engine._certificate
 
-        def counted(q, comps, *rest, **kwargs):
-            if len(comps) == 2:
+        def counted(root, option):
+            if len(root.comps) == 2:
                 checks.append(1)
-            return certificate(q, comps, *rest, **kwargs)
+            return certificate(root, option)
 
         monkeypatch.setattr(engine, "_certificate", counted)
         eps_list = [F(1), F(1, 2), F(1, 4), F(1, 8)]
@@ -289,7 +289,7 @@ class TestChains:
         assert certs[1].value == level2.value
 
     def test_chain_cap(self):
-        with pytest.raises(DimensionCapError):
+        with pytest.raises(DimensionCapError, match=r"\(budgeted\.CHAIN_CAP = 3\)"):
             psi_chain(X, ALT, [ALT] * 4, F(1, 2), TruncationConfig(1))
 
 

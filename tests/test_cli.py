@@ -247,15 +247,15 @@ def test_front_cap_is_a_resource_error(tmp_path, capsys, monkeypatch):
         loaded.window_set("left"), chain, ((point, F(1, 2)),), loaded.config("c")
     )
     # the chain and the point mass trade off: two vectors at the root
-    _, front = budgeted._front(problem.q, [chain, point], problem.cfg)
+    front = engine.RootFront(problem.q, [chain, point], problem.cfg, budgeted.prune).options
     assert [vec for vec, _ in front] == [(F(1, 3), F(1)), (F(5, 6), F(0))]
     assert psi_budgeted(problem).value == F(5, 6)
     monkeypatch.setattr(engine, "FRONT_CAP", 1)
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError, match=r"\(engine\.FRONT_CAP = 1\)"):
         psi_budgeted(problem)
     code, out = run(capsys, "psi", "--spec", str(path))
     assert code == 3
-    assert '"kind": "resource"' in out
+    assert '"kind": "resource"' in out and "engine.FRONT_CAP = 1" in out
 
 
 def test_forged_price_is_an_internal_error_under_optimize_flag():

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from ddmlab import engine, measures, symbolic
+from ddmlab import engine, measures, symbolic, verify
 from ddmlab.covers import TruncationConfig, cover_cost, is_valid_cover
 from ddmlab.engine import (
     brute_force_phi,
@@ -12,7 +12,13 @@ from ddmlab.engine import (
     phi_paren_truncated,
     phi_truncated,
 )
-from ddmlab.errors import BudgetExceededError, CertificateError, RejectedInputError, TooLargeError
+from ddmlab.errors import (
+    BitsetCapError,
+    BudgetExceededError,
+    CertificateError,
+    RejectedInputError,
+    TooLargeError,
+)
 from ddmlab.measures import BernoulliMeasure, DiracMeasure, MarkovMeasure, eval0
 from ddmlab.suites import random_measure, random_window_set
 from ddmlab.symbolic import WindowSet
@@ -314,20 +320,35 @@ class TestThreeSymbols:
 
 
 class TestCaps:
+    # every cap error names its constant and the value it was read at
+
     def test_node_cap(self, monkeypatch):
         monkeypatch.setattr(engine, "NODE_CAP", 3)
-        with pytest.raises(BudgetExceededError):
+        with pytest.raises(BudgetExceededError, match=r"\(engine\.NODE_CAP = 3\)"):
             phi_truncated(X, ALT, TruncationConfig(3, 2, 0))
 
     def test_brute_force_cap(self, monkeypatch):
         monkeypatch.setattr(engine, "LABELING_CAP", 10)
-        with pytest.raises(TooLargeError):
+        with pytest.raises(TooLargeError, match=r"\(engine\.LABELING_CAP = 10\)"):
             brute_force_phi(X, ALT, TruncationConfig(3, 3, 0))
+
+    def test_brute_force_class_cap(self, monkeypatch):
+        monkeypatch.setattr(engine, "CLASS_CAP", 1)
+        with pytest.raises(TooLargeError, match=r"\(engine\.CLASS_CAP = 1\)"):
+            brute_force_phi(X, ALT, TruncationConfig(1, 0, 0))
 
     def test_overlapping_pool_cap(self, monkeypatch):
         monkeypatch.setattr(engine, "POOL_CAP", 4)
-        with pytest.raises(TooLargeError):
+        with pytest.raises(TooLargeError, match=r"\(engine\.POOL_CAP = 4\)"):
             brute_force_phi_overlapping(X, ALT, TruncationConfig(2, 2, 0))
+
+    def test_algebra_cap(self):
+        with pytest.raises(TooLargeError, match=r"\(verify\.ALGEBRA_CAP = 4096\)"):
+            verify.FiniteAlgebra(2, [cyl(j, 0) for j in range(-2, 3)])
+
+    def test_bitset_cap(self):
+        with pytest.raises(BitsetCapError, match=r"bitset cap \(symbolic\.MAX_CELLS = 4194304\)"):
+            phi_truncated(cyl(0, 0), chain(), TruncationConfig(1, 25, 0))
 
     def test_window_override_must_contain_the_query(self):
         with pytest.raises(RejectedInputError):

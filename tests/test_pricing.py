@@ -8,13 +8,15 @@ symbol.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from ddmlab import measures, suites, symbolic
+from ddmlab import covers, engine, measures, suites, symbolic
+from ddmlab.covers import TruncationConfig
 from ddmlab.errors import GradingViolationError, NegativeCoordinateError, RejectedInputError
 from ddmlab.symbolic import Window, WindowSet
 
@@ -149,3 +151,18 @@ def test_the_shifted_window_keeps_the_coordinate_bound():
     s = WindowSet.cylinder(2, symbolic.MAX_ABS_COORDINATE - 1, [0])
     assert measures.eval_shifted(mu, -1, s) == 1
     assert raised(measures.eval_shifted, mu, -2, s) is RejectedInputError
+
+
+def test_a_walk_to_the_coordinate_bound_prices_its_deepest_nodes():
+    # level -64 of a width-1 walk holds words on [-64, 1]; they are read at
+    # coordinate 0, so the accepted config solves
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
+    chain = measures.MarkovMeasure((half, half), ((half, half), (quarter, 1 - quarter)))
+    q = WindowSet.cylinder(2, 0, [0])
+    cfg = TruncationConfig(symbolic.MAX_ABS_COORDINATE, 1, 0)
+    cert = engine.phi_truncated(q, chain, cfg)
+    assert covers.is_valid_cover(q, cert.witness)
+    assert covers.cover_cost(cert.witness, chain) == cert.value
+    assert cert.witness.entries[-1][0] == -symbolic.MAX_ABS_COORDINATE
+    # a grade far past the bound is still rejected
+    assert raised(measures.eval_shifted, chain, -10 ** 6, q) is RejectedInputError

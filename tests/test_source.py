@@ -50,3 +50,22 @@ def test_engine_and_verify_leave_set_forms_to_symbolic():
             if name in forms:
                 found.append(f"{module}:{node.lineno} {name}")
     assert found == []
+
+
+def test_walk_and_certificate_stay_inside_the_engine():
+    # every optimizer reaches the walk and the certificate re-check through
+    # ``engine.RootFront``
+    root = Path(ddmlab.__file__).parent
+    private = {"_walk", "_certificate"}
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        if path.name == "engine.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if isinstance(node, ast.alias):
+                name = node.name
+            if name in private:
+                found.append(f"{path.relative_to(root)}:{node.lineno} {name}")
+    assert found == []

@@ -3,9 +3,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from ddmlab import engine, measures, symbolic, verify
+from ddmlab import engine, measures, suites, symbolic, verify
 from ddmlab.budgeted import BudgetedProblem, psi_budgeted
-from ddmlab.covers import TruncationConfig
+from ddmlab.covers import TruncationConfig, is_valid_cover
 from ddmlab.errors import InfeasibleError, RejectedInputError, TooLargeError
 from ddmlab.measures import BernoulliMeasure, DiracMeasure, cesaro, eval0, eval_shifted
 from ddmlab.suites import caratheodory_config, random_measure, random_window_set
@@ -202,6 +202,40 @@ class TestCaratheodorySplitting:
         wide = WindowSet(2, Window(-1, 1), cyl(0, 1).bits_on(Window(-1, 1)))
         mu(wide)
         assert seen[-1].window == Window(0, 0)
+
+
+    def test_the_suite_does_not_depend_on_the_seed(self):
+        one, seven = suites.suite_caratheodory(1), suites.suite_caratheodory(7)
+        assert [c.as_dict() for c in one.checks] == [c.as_dict() for c in seven.checks]
+
+
+class TestEmptyQuery:
+    # every optimizer reads the empty query off one root front with a
+    # single zero option, whose empty cover is re-checked like any other
+
+    def test_root_front_has_one_zero_option(self):
+        empty = WindowSet.empty(2)
+        root = engine.RootFront(empty, [chain(), ALT], TruncationConfig(1), engine.prune)
+        assert root.frame is None
+        assert root.options == [((0, 0), ())]
+
+    def test_optimizers_give_zero_on_an_empty_checked_cover(self):
+        empty, cfg = WindowSet.empty(2), caratheodory_config(depth=1)
+        phi = engine.phi_truncated(empty, chain(), cfg)
+        psi = psi_budgeted(BudgetedProblem(empty, ALT, ((chain(), F(1, 2)),), cfg))
+        for cert in (phi, psi):
+            assert cert.value == 0 and cert.witness.entries == ()
+            assert is_valid_cover(empty, cert.witness)
+        assert (phi.vector, psi.vector) == (None, (0, 0))
+        assert psi_handle("psi", ALT, chain(), F(1, 2), cfg)(empty) == 0
+
+    def test_a_nonpositive_budget_is_infeasible(self):
+        empty, cfg = WindowSet.empty(2), caratheodory_config(depth=1)
+        for bound in (F(0), F(-1)):
+            with pytest.raises(InfeasibleError):
+                psi_budgeted(BudgetedProblem(empty, ALT, ((chain(), bound),), cfg))
+            with pytest.raises(InfeasibleError):
+                psi_handle("psi", ALT, chain(), bound, cfg)
 
 
 class TestPsiHandle:
