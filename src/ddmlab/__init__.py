@@ -38,7 +38,6 @@ from .measures import (
     stationary_markov,
 )
 from .symbolic import (
-    Alphabet,
     Window,
     WindowSet,
     complement,
@@ -53,4 +52,16 @@ from .symbolic import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "Cover", "TruncationConfig", "ValueCertificate", "cover_cost", "disjointify",
+    "is_valid_cover",
+    "brute_force_phi", "brute_force_phi_overlapping", "phi_grid", "phi_paren_truncated",
+    "phi_truncated",
+    "BudgetedProblem", "brute_force_psi", "psi_budgeted", "psi_chain", "psi_eps_grid",
+    "psi_signed",
+    "BernoulliMeasure", "CesaroMeasure", "ConvexMeasure", "CylinderMeasure", "DiracMeasure",
+    "MarkovMeasure", "SignedDiffMeasure", "cesaro", "eval0", "eval_shifted",
+    "stationary_distribution", "stationary_markov",
+    "Window", "WindowSet", "complement", "difference", "intersection", "project_min", "refine",
+    "set_algebra", "shift", "union",
+]

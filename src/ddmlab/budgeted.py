@@ -25,8 +25,6 @@ from .covers import TruncationConfig, ValueCertificate
 from .engine import prune
 from .errors import DimensionCapError, InfeasibleError, RejectedInputError
 
-ZERO = Fraction(0)
-
 CHAIN_CAP = 3
 
 
@@ -64,10 +62,6 @@ def brute_force_psi(p: BudgetedProblem) -> tuple[Fraction, tuple[Fraction, ...]]
     comps = [p.objective] + [m for m, _ in p.constraints]
     bounds = [b for _, b in p.constraints]
     frame = engine.build_frame(p.q, p.cfg)
-    if frame is None:
-        if all(b > 0 for b in bounds):
-            return ZERO, (ZERO,) * len(comps)
-        raise InfeasibleError("empty set infeasible under a nonpositive budget")
     leaves = [leaf for classes in engine._finest_classes(p.q, frame) for leaf in classes]
     costs = engine._labeling_costs(frame, comps)
     best = min(

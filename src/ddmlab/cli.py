@@ -41,6 +41,7 @@ from .specfile import (
     parse_matrix,
     parse_rational,
     parse_rationals,
+    parse_spec,
     witness_payload,
 )
 
@@ -53,8 +54,6 @@ EXIT_INTERNAL = 4
 
 def default_spec() -> ProblemSpec:
     """Built-in problem set: both reference instances."""
-    from .specfile import parse_spec
-
     return parse_spec(
         {
             "alphabet": 2,
@@ -138,7 +137,9 @@ def cmd_phi(spec: ProblemSpec, payload: dict, args) -> tuple[dict, int]:
     depths = expect_integers(payload.get("depths", [1]), "depths")
     widths = expect_integers(payload.get("widths", [0]), "widths")
     shifts = expect_integers(payload.get("shifts", [0]), "shifts")
-    base_graded = bool(payload.get("base_graded", False))
+    base_graded = payload.get("base_graded", False)
+    if not isinstance(base_graded, bool):
+        raise RejectedInputError(f"base_graded must be a JSON boolean, not {base_graded!r}")
     solver = engine.phi_paren_truncated if base_graded else engine.phi_truncated
     rows = []
     for d in depths:
@@ -162,7 +163,7 @@ def cmd_psi(spec: ProblemSpec, payload: dict, args) -> tuple[dict, int]:
             c = expect_object(c, "a psi constraint")
             constraints.append((
                 spec.measure(_field(c, "psi constraint", "measure")),
-                parse_rational(_field(c, "psi constraint", "bound")),
+                parse_rational(_field(c, "psi constraint", "bound"), "bound"),
             ))
         cert = psi_budgeted(BudgetedProblem(q, psi, tuple(constraints), cfg))
         out = {"command": "psi"}
@@ -196,7 +197,7 @@ def cmd_chain(spec: ProblemSpec, payload: dict, args) -> tuple[dict, int]:
     phi = spec.measure(_field(payload, "chain", "phi"))
     q = spec.window_set(_field(payload, "chain", "set"))
     cfg = spec.config(payload.get("config", {"depth": 1}))
-    eps = parse_rational(payload.get("eps", "1/2"))
+    eps = parse_rational(payload.get("eps", "1/2"), "eps")
     objectives = [
         spec.measure(name)
         for name in expect_array(_field(payload, "chain", "objectives"), "objectives")

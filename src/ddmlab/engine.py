@@ -111,11 +111,9 @@ def _window(cfg: TruncationConfig, floor0: int, qlo: int, qhi: int) -> tuple[int
 
 def build_frame(
     q: symbolic.WindowSet, cfg: TruncationConfig, base_graded: bool = False
-) -> Frame | None:
+) -> Frame:
     """Resolve windows and list the query cells by rank on the lazy window
-    [min(qlo, floor0), whi]; None for empty Q."""
-    if q.is_empty:
-        return None
+    [min(qlo, floor0), whi]; an empty Q lists none."""
     floor0 = 0 if base_graded else cfg.base_shift
     qlo, qhi = _edges(q, floor0)
     wlo, whi = _window(cfg, floor0, qlo, qhi)
@@ -175,7 +173,8 @@ def _walk(frame: Frame, comps, keep):
 
     A vector has one component per measure of ``comps``.  A trace is either
     the pair (m, word) of a taken node or a pair of traces, whose taken
-    nodes together make up a sum of options.
+    nodes together make up a sum of options.  A frame with no cells has the
+    single option of the empty cover, at cost 0 in every component.
     """
     n, depth = frame.n, frame.depth
     full_m = frame.qlo - frame.floor0  # a node at level m <= full_m is full
@@ -217,6 +216,8 @@ def _walk(frame: Frame, comps, keep):
     roots: dict[int, list] = {}
     for cell in frame.cells:
         roots.setdefault(cell % size, []).append(cell)
+    if not roots:
+        return [((ZERO,) * len(comps), ())]
     return _combine(
         [rec(symbolic.rank_word(n, length, r), cells, 0) for r, cells in sorted(roots.items())],
         keep,
@@ -273,20 +274,16 @@ class RootFront:
     """The root front of one query's take-or-split walk under a keep rule,
     with the certificate of each option re-checked at most once.
 
-    ``options`` lists the (cost vector, trace) options of the root; the
-    empty query has the single option of the empty cover, at cost 0 in
-    every component.  Certificates of the scalar keep rule carry no cost
-    vector; those of every other keep rule carry it.
+    ``options`` lists the (cost vector, trace) options of the root.
+    Certificates of the scalar keep rule carry no cost vector; those of
+    every other keep rule carry it.
     """
 
     def __init__(self, q, comps, cfg, keep, base_graded=False):
         self.q, self.comps, self.cfg, self.base_graded = q, comps, cfg, base_graded
         self.vector = keep is not _cheapest
         self.frame = build_frame(q, cfg, base_graded)
-        if self.frame is None:
-            self.options = [((ZERO,) * len(comps), ())]
-        else:
-            self.options = _walk(self.frame, comps, keep)
+        self.options = _walk(self.frame, comps, keep)
         self._certificates: dict[int, ValueCertificate] = {}
 
     def certificate(self, k: int) -> ValueCertificate:
@@ -446,8 +443,6 @@ def brute_force_phi(
     if not phi.nonnegative:
         raise RejectedInputError("cover optimization needs a nonnegative measure")
     frame = build_frame(q, cfg, base_graded)
-    if frame is None:
-        return ZERO
     costs = _labeling_costs(frame, [phi])
     total = ZERO
     for leaves in _finest_classes(q, frame):
@@ -469,8 +464,6 @@ def brute_force_phi_overlapping(
     if not phi.nonnegative:
         raise RejectedInputError("cover optimization needs a nonnegative measure")
     frame = build_frame(q, cfg, base_graded=False)
-    if frame is None:
-        return ZERO
     cells = _dense_cells(q, frame)
     index = {cell: k for k, cell in enumerate(cells)}
     pool = []

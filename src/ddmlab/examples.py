@@ -16,9 +16,9 @@ from .verify import Report
 ONE = Fraction(1)
 
 
-def alternating_point(n: int = 2) -> measures.DiracMeasure:
+def alternating_point() -> measures.DiracMeasure:
     """Point mass at the 2-periodic sequence that is 0 on even coordinates."""
-    return measures.DiracMeasure(n, (0, 1))
+    return measures.DiracMeasure(2, (0, 1))
 
 
 def example_one(
@@ -58,16 +58,10 @@ DEFAULT_CHAIN = (
 )
 
 
-def example_two(
-    a=DEFAULT_CHAIN,
-    pi0=None,
-    depth: int = 2,
-    width: int = 1,
-    sample_sets=(),
-) -> Report:
+def example_two(a=DEFAULT_CHAIN, pi0=None, sample_sets=()) -> Report:
     """Two-state chain instance: stationary start versus a re-weighted start
-    sandwiches the optima exactly, and the stationary optimum keeps full
-    mass."""
+    sandwiches the optima exactly at depth 2 and width 1, and the stationary
+    optimum keeps full mass."""
     report = Report("two-state chain instance")
     a = tuple(tuple(Fraction(x) for x in row) for row in a)
     n = len(a)
@@ -85,7 +79,7 @@ def example_two(
     )
     phi = measures.MarkovMeasure(pi, a)
     phi0 = measures.MarkovMeasure(pi0, a)
-    cfg = TruncationConfig(depth, width, 0)
+    cfg = TruncationConfig(2, 1, 0)
     x = symbolic.WindowSet.full_space(n)
     full_value = engine.phi_truncated(x, phi, cfg).value
     report.add("stationary optimum of the full space is 1", full_value == 1)

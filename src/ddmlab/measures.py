@@ -33,8 +33,6 @@ from .errors import (
     RejectedInputError,
 )
 
-Rational = Fraction
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -112,8 +110,9 @@ class MarkovMeasure(CylinderMeasure):
                 raise NotStochasticError("matrix row does not sum to one")
         self.symbols = n
         self._marginals = {0: self.pi}
-        # transitions as (numerator, denominator) pairs: a path product is
-        # taken over integers and reduced once
+        # starts and transitions as (numerator, denominator) pairs: a path
+        # product is taken over integers and reduced once
+        self._starts: dict[int, tuple] = {}
         self._steps = tuple(tuple((x.numerator, x.denominator) for x in row) for row in self.a)
         self._tables: dict[int, DecisionTable] = {}
 
@@ -137,13 +136,19 @@ class MarkovMeasure(CylinderMeasure):
         return self._marginals[lo]
 
     def cell_value(self, lo: int, word: tuple[int, ...]) -> Fraction:
-        start = self._marginal(lo)[word[0]]
-        num, den = start.numerator, start.denominator
+        starts = self._starts.get(lo)
+        if starts is None:
+            starts = self._starts[lo] = tuple(
+                (x.numerator, x.denominator) for x in self._marginal(lo)
+            )
+        prev = word[0]
+        num, den = starts[prev]
         steps = self._steps
-        for k in range(len(word) - 1):
-            p, q = steps[word[k]][word[k + 1]]
+        for symbol in word[1:]:
+            p, q = steps[prev][symbol]
             num *= p
             den *= q
+            prev = symbol
         return Fraction(num, den)
 
 
@@ -182,34 +187,18 @@ class DiracMeasure(CylinderMeasure):
         return ONE
 
 
-class BernoulliMeasure(CylinderMeasure):
-    """Product measure with one fixed symbol distribution per coordinate."""
+class BernoulliMeasure(MarkovMeasure):
+    """Product measure with one fixed symbol distribution p per coordinate:
+    the Markov chain that starts from p and whose every row is p."""
 
     def __init__(self, p):
         self.p = tuple(_as_fraction(x) for x in p)
         if any(x < 0 for x in self.p) or sum(self.p) != 1:
             raise RejectedInputError("weights are not a distribution")
-        self.symbols = len(self.p)
-        self._steps = tuple((x.numerator, x.denominator) for x in self.p)
-        self._table: DecisionTable | None = None
+        super().__init__(self.p, (self.p,) * len(self.p))
 
     def __repr__(self):
         return f"BernoulliMeasure({self.p})"
-
-    def transfer(self, at: int) -> tuple:
-        # every row of the transition matrix is p, at every coordinate
-        if self._table is None:
-            self._table = DecisionTable(self.p, (self.p,) * self.symbols)
-        return ((self, self._table),)
-
-    def cell_value(self, lo: int, word: tuple[int, ...]) -> Fraction:
-        num = den = 1
-        steps = self._steps
-        for symbol in word:
-            p, q = steps[symbol]
-            num *= p
-            den *= q
-        return Fraction(num, den)
 
 
 class CesaroMeasure(CylinderMeasure):

@@ -36,9 +36,12 @@ def expect_array(value, what: str) -> list:
 
 def expect_integer(value, what: str) -> int:
     """An integer given as a JSON number or a string of digits."""
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise RejectedInputError(f"{what} must be an integer, not {value!r}")
-    return int(value)
+    if not isinstance(value, bool) and isinstance(value, (int, str)):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise RejectedInputError(f"{what} must be an integer, not {value!r}")
 
 
 def expect_integers(value, what: str) -> list[int]:
@@ -48,25 +51,24 @@ def expect_integers(value, what: str) -> list[int]:
 _RATIONAL = re.compile(r"^\s*(-?\d+)\s*(?:/\s*(\d+)\s*)?$")
 
 
-def parse_rational(text) -> Fraction:
-    if isinstance(text, int):
-        return Fraction(text)
+def parse_rational(text, what: str) -> Fraction:
+    """A rational given as an integer or a "p/q" string."""
     if isinstance(text, Fraction):
         return text
-    if not isinstance(text, str):
-        raise RejectedInputError(f"cannot parse rational from {text!r}")
-    m = _RATIONAL.match(text)
+    if isinstance(text, int) and not isinstance(text, bool):
+        return Fraction(text)
+    m = _RATIONAL.match(text) if isinstance(text, str) else None
     if not m:
-        raise RejectedInputError(f"cannot parse rational from {text!r}")
+        raise RejectedInputError(f"{what} must be a rational, not {text!r}")
     num = int(m.group(1))
     den = int(m.group(2)) if m.group(2) else 1
     if den == 0:
-        raise RejectedInputError("zero denominator")
+        raise RejectedInputError(f"{what} has a zero denominator")
     return Fraction(num, den)
 
 
 def parse_rationals(value, what: str) -> tuple[Fraction, ...]:
-    return tuple(parse_rational(x) for x in expect_array(value, what))
+    return tuple(parse_rational(x, what) for x in expect_array(value, what))
 
 
 def parse_matrix(value) -> tuple[tuple[Fraction, ...], ...]:
@@ -212,7 +214,7 @@ def parse_measure(record, named: dict, n: int) -> measures.CylinderMeasure:
     if kind == "signed_diff":
         return measures.SignedDiffMeasure(
             parse_measure(record["psi"], named, n),
-            parse_rational(record["c"]),
+            parse_rational(record["c"], "c"),
             parse_measure(record["phi"], named, n),
         )
     raise RejectedInputError(f"unknown measure kind {kind!r}")
@@ -235,15 +237,11 @@ def parse_config(record: dict) -> TruncationConfig:
 
 @dataclass
 class ProblemSpec:
-    alphabet: symbolic.Alphabet
+    n: int  # alphabet size
     measures: dict = field(default_factory=dict)
     sets: dict = field(default_factory=dict)
     configs: dict = field(default_factory=dict)
     commands: dict = field(default_factory=dict)
-
-    @property
-    def n(self) -> int:
-        return self.alphabet.size
 
     def measure(self, name: str) -> measures.CylinderMeasure:
         if not isinstance(name, str) or name not in self.measures:
@@ -272,8 +270,9 @@ def load_spec(path: str) -> ProblemSpec:
 
 def parse_spec(raw: dict) -> ProblemSpec:
     expect_object(raw, "the spec")
-    alphabet = symbolic.Alphabet(expect_integer(raw.get("alphabet", 2), "alphabet"))
-    n = alphabet.size
+    n = expect_integer(raw.get("alphabet", 2), "alphabet")
+    if n < 1:
+        raise RejectedInputError("alphabet needs at least one symbol")
     section = {key: expect_object(raw.get(key, {}), key)
                for key in ("measures", "sets", "configs", "commands")}
     named: dict = {}
@@ -295,7 +294,7 @@ def parse_spec(raw: dict) -> ProblemSpec:
         raise RejectedInputError(f"unresolvable measure references: {sorted(pending)}")
     sets = {name: parse_set(text, n) for name, text in section["sets"].items()}
     configs = {name: parse_config(rec) for name, rec in section["configs"].items()}
-    return ProblemSpec(alphabet, named, sets, configs, dict(section["commands"]))
+    return ProblemSpec(n, named, sets, configs, dict(section["commands"]))
 
 
 def witness_payload(cover) -> dict:

@@ -11,7 +11,9 @@ import random
 from fractions import Fraction
 
 from . import engine, examples, measures, symbolic, verify
-from .budgeted import BudgetedProblem, brute_force_psi, psi_budgeted, psi_eps_grid, psi_signed
+from .budgeted import (
+    BudgetedProblem, brute_force_psi, psi_budgeted, psi_chain, psi_eps_grid, psi_signed
+)
 from .covers import Cover, TruncationConfig, cover_cost, disjointify, is_valid_cover
 from .errors import InfeasibleError, RejectedInputError
 from .verify import FiniteAlgebra, Report
@@ -44,19 +46,14 @@ def random_cylinder(rng: random.Random, n: int, lo_range=(0, 2), max_len=3) -> s
     return symbolic.WindowSet.cylinder(n, start, word)
 
 
-def random_stochastic_matrix(rng: random.Random, n: int):
-    rows = []
-    for _ in range(n):
-        weights = [rng.randint(1, 4) for _ in range(n)]
-        total = sum(weights)
-        rows.append(tuple(F(w, total) for w in weights))
-    return tuple(rows)
-
-
 def random_distribution(rng: random.Random, n: int):
     weights = [rng.randint(1, 4) for _ in range(n)]
     total = sum(weights)
     return tuple(F(w, total) for w in weights)
+
+
+def random_stochastic_matrix(rng: random.Random, n: int):
+    return tuple(random_distribution(rng, n) for _ in range(n))
 
 
 def random_dirac(rng: random.Random, n: int) -> measures.DiracMeasure:
@@ -98,8 +95,9 @@ def random_cover(rng: random.Random, n: int, base_shift: int, depth: int) -> Cov
 # -- suites --------------------------------------------------------------
 
 
-def suite_oracle(seed: int, cases: int = 100) -> Report:
+def suite_oracle(seed: int) -> Report:
     """Tree optimum equals the exhaustive labeling enumeration."""
+    cases = 100
     rng = random.Random(seed)
     report = Report("tree optimum against exhaustive enumeration")
     kinds = ["dirac", "markov", "bernoulli", "cesaro", "convex"]
@@ -121,9 +119,10 @@ def suite_oracle(seed: int, cases: int = 100) -> Report:
     return report
 
 
-def suite_disjointify(seed: int, cases: int = 1000, overlap_cases: int = 30) -> Report:
+def suite_disjointify(seed: int) -> Report:
     """Disjoint refinement of covers, and optimality of disjoint witnesses
     against an exact overlapping-cover search on oracle-sized instances."""
+    cases, overlap_cases = 1000, 30
     rng = random.Random(seed)
     report = Report("disjoint cover refinement")
     union_ok = cost_ok = True
@@ -208,32 +207,31 @@ def suite_axioms(seed: int) -> Report:
     return report
 
 
-def consistency_grid(depths=(1, 2, 3), widths=(0, 1, 2), shifts=(0, -1, -2)):
-    return [
-        TruncationConfig(d, w, i) for d in depths for w in widths for i in shifts
-    ]
+CONSISTENCY_GRID = tuple(
+    TruncationConfig(d, w, i) for d in (1, 2, 3) for w in (0, 1, 2) for i in (0, -1, -2)
+)
 
 
-def suite_consistency(seed: int, cylinders: int = 50) -> Report:
+def suite_consistency(seed: int) -> Report:
     """Stationary chain: the truncated optimum is grid-constant and equal to
     the direct value on random cylinders."""
+    cylinders = 50
     rng = random.Random(seed)
     a = ((F(1, 2), F(1, 2)), (F(1, 4), F(3, 4)))
     phi = measures.stationary_markov(a)
     report = Report("consistent family collapse")
-    grid = consistency_grid()
     ok = True
     detail = ""
     for k in range(cylinders):
         q = random_cylinder(rng, 2, lo_range=(0, 2), max_len=3)
         direct = measures.eval0(phi, q)
-        for cfg in grid:
+        for cfg in CONSISTENCY_GRID:
             value = engine.phi_truncated(q, phi, cfg).value
             if value != direct:
                 ok = False
                 detail = f"case {k} at {cfg}: {value} != {direct}"
     report.add(
-        f"{cylinders} cylinders x {len(grid)} truncations all equal the direct value",
+        f"{cylinders} cylinders x {len(CONSISTENCY_GRID)} truncations all equal the direct value",
         ok,
         detail,
     )
@@ -251,9 +249,10 @@ def suite_consistency(seed: int, cylinders: int = 50) -> Report:
     return report
 
 
-def suite_monotonicity(seed: int, cases: int = 50) -> Report:
+def suite_monotonicity(seed: int) -> Report:
     """Budgeted grid monotone in both axes, and the explicit re-indexing of
     a deeper-shift witness stays feasible one shift up."""
+    cases = 50
     rng = random.Random(seed)
     report = Report("budgeted grid monotonicity")
     eps_list = [F(1), F(1, 2), F(1, 4), F(1, 8)]
@@ -299,8 +298,9 @@ def suite_monotonicity(seed: int, cases: int = 50) -> Report:
     return report
 
 
-def suite_budgeted_oracle(seed: int, cases: int = 40) -> Report:
+def suite_budgeted_oracle(seed: int) -> Report:
     """Pareto solver equals exhaustive enumeration with budget filter."""
+    cases = 40
     rng = random.Random(seed)
     report = Report("budgeted optimum against exhaustive enumeration")
     agree = True
@@ -329,9 +329,10 @@ def suite_budgeted_oracle(seed: int, cases: int = 40) -> Report:
     return report
 
 
-def suite_signed(seed: int, cases: int = 50) -> Report:
+def suite_signed(seed: int) -> Report:
     """Signed optimum sits inside the exact bracket around the unsigned
     optimum over the same feasible class, and collapses at zero scale."""
+    cases = 50
     rng = random.Random(seed)
     report = Report("signed chain bracket")
     bracket_ok = collapse_ok = True
@@ -369,8 +370,6 @@ def suite_signed(seed: int, cases: int = 50) -> Report:
             )
             constraints.append((signed_obj, signed_value + eps))
         zero_signed = psi_signed(q, phi, psis, [F(0)] * depth_n, eps, cfg)
-        from .budgeted import psi_chain
-
         plain = psi_chain(q, phi, psis, eps, cfg)
         if [c.value for c in zero_signed] != [c.value for c in plain]:
             collapse_ok = False

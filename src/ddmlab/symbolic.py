@@ -53,17 +53,6 @@ def _check_coordinate(c: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class Alphabet:
-    """Symbol set {0..size-1}."""
-
-    size: int
-
-    def __post_init__(self) -> None:
-        if self.size < 1:
-            raise RejectedInputError("alphabet needs at least one symbol")
-
-
 @dataclass(frozen=True, order=True)
 class Window:
     """Closed coordinate range [lo, hi]."""

@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from . import engine, measures, symbolic
+from .budgeted import BudgetedProblem, psi_budgeted
 from .covers import TruncationConfig
 from .errors import GridNotMonotoneError, RejectedInputError, TooLargeError
 
@@ -520,7 +521,6 @@ def check_consistency(
     samples: Sequence[symbolic.WindowSet],
     grid: Sequence[TruncationConfig] = (),
     prepend: measures.CylinderMeasure | None = None,
-    eps: Fraction = Fraction(1, 2),
 ) -> Report:
     """Consistency of the shifted family and its consequences.
 
@@ -529,10 +529,8 @@ def check_consistency(
     consistent, the truncated optimum of any sampled set must equal its
     direct value at every supplied truncation, and prefixing a consistent
     chain in front (budgeting by its own truncated value plus slack) must
-    leave the truncated optimum unchanged on cylinder samples.
+    leave the truncated optimum unchanged on cylinder samples, at slack 1/2.
     """
-    from .budgeted import BudgetedProblem, psi_budgeted
-
     report = Report("consistency of the shifted family")
     consistent = True
     detail = ""
@@ -574,7 +572,7 @@ def check_consistency(
                 if a.is_degenerate or a.min_coordinate() < 0:
                     continue
                 plain = engine.phi_truncated(a, phi, cfg).value
-                budget = engine.phi_truncated(a, prepend, cfg).value + eps
+                budget = engine.phi_truncated(a, prepend, cfg).value + Fraction(1, 2)
                 chained = psi_budgeted(
                     BudgetedProblem(a, phi, ((prepend, budget),), cfg)
                 ).value

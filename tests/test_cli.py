@@ -362,7 +362,8 @@ def _edited(path, value):
 
 # one malformed spec per place the reader used to assume a JSON type; before
 # the reader checked the types, each of them raised a TypeError or an
-# AttributeError, which exited 4 as if the program were at fault
+# AttributeError, which exited 4 as if the program were at fault.  The last
+# four once exited 2 without naming the field, or were accepted.
 MALFORMED = [
     ("eval", (), [], "the spec must be a JSON object"),
     ("eval", ("alphabet",), None, "alphabet must be an integer"),
@@ -405,6 +406,11 @@ MALFORMED = [
      "A must be a JSON array"),
     ("example", ("commands", "example"), {"name": "e2", "params": {"pi0": 5}},
      "pi0 must be a JSON array"),
+    ("phi", ("commands", "phi", "depths"), ["x"], "depths must be an integer, not 'x'"),
+    ("phi", ("commands", "phi", "widths"), ["1.5"], "widths must be an integer, not '1.5'"),
+    ("phi", ("commands", "phi", "base_graded"), "no", "base_graded must be a JSON boolean"),
+    ("eval", ("measures", "coin"), {"kind": "bernoulli", "p": [True, 0]},
+     "p must be a rational, not True"),
 ]
 
 

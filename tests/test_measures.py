@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -178,6 +179,52 @@ class TestCesaro:
             s = WindowSet(2, window, bits)
             expected = sum(eval0(ALT, symbolic.shift(s, -i)) for i in range(3)) / 3
             assert eval0(avg, s) == expected
+
+
+class TestBernoulliIsAMarkovChain:
+    # a product measure is the Markov chain whose start and rows all equal p
+
+    def test_prices_every_word_as_the_product_of_its_weights(self):
+        rng = random.Random(17)
+        for n in (1, 2, 3):
+            weights = [rng.randint(0, 4) for _ in range(n)]
+            weights[rng.randrange(n)] += 1
+            p = tuple(F(w, sum(weights)) for w in weights)
+            mu = BernoulliMeasure(p)
+            for length in range(1, 5):
+                for word in itertools.product(range(n), repeat=length):
+                    expected = F(1)
+                    for symbol in word:
+                        expected *= p[symbol]
+                    for lo in range(4):
+                        assert mu.cell_value(lo, word) == expected
+
+    def test_decision_tables_match_the_single_product_table(self):
+        rng = random.Random(23)
+        for n in (2, 3):
+            weights = [rng.randint(1, 5) for _ in range(n)]
+            p = tuple(F(w, sum(weights)) for w in weights)
+            single = measures.DecisionTable(p, (p,) * n)
+            mu = BernoulliMeasure(p)
+            for at in range(4):
+                ((part, table),) = mu.transfer(at)
+                assert part is mu
+                for k in range(7):
+                    for s in range(n):
+                        assert table.takes(s, k) == single.takes(s, k)
+
+    def test_keeps_its_own_message_and_repr(self):
+        with pytest.raises(RejectedInputError, match="weights are not a distribution"):
+            BernoulliMeasure((F(1, 2), F(1, 4)))
+        with pytest.raises(RejectedInputError, match="weights are not a distribution"):
+            BernoulliMeasure(())
+        assert repr(BernoulliMeasure((F(1, 2), F(1, 2)))) == (
+            "BernoulliMeasure((Fraction(1, 2), Fraction(1, 2)))"
+        )
+
+    def test_pricing_and_tables_come_from_the_chain(self):
+        assert issubclass(BernoulliMeasure, MarkovMeasure)
+        assert not {"cell_value", "transfer"} & set(BernoulliMeasure.__dict__)
 
 
 def test_signed_difference_linearity():

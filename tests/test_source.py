@@ -69,3 +69,36 @@ def test_walk_and_certificate_stay_inside_the_engine():
             if name in private:
                 found.append(f"{path.relative_to(root)}:{node.lineno} {name}")
     assert found == []
+
+
+def test_verification_sizes_are_constants_not_parameters():
+    # case counts, grids and slacks are fixed; the report names embed them
+    from ddmlab import examples, suites, verify
+
+    found = [
+        f"{fn.__name__}{inspect.signature(fn)}"
+        for fn in suites.SUITES.values()
+        if list(inspect.signature(fn).parameters) != ["seed"]
+    ]
+    found += [
+        f"{fn.__name__}({name})"
+        for fn, names in (
+            (examples.example_two, {"depth", "width"}),
+            (examples.alternating_point, {"n"}),
+            (verify.check_consistency, {"eps"}),
+        )
+        for name in names & set(inspect.signature(fn).parameters)
+    ]
+    assert found == []
+
+
+def test_public_names_are_classes_and_functions_of_the_package():
+    # ``__all__`` is an explicit list: no submodule, alias or constant leaks in
+    found = [
+        name
+        for name in ddmlab.__all__
+        if not (inspect.isclass(getattr(ddmlab, name)) or inspect.isfunction(getattr(ddmlab, name)))
+        or not getattr(ddmlab, name).__module__.startswith("ddmlab.")
+    ]
+    assert found == []
+    assert len(set(ddmlab.__all__)) == len(ddmlab.__all__)

@@ -19,14 +19,14 @@ from ddmlab.symbolic import WindowSet
 
 
 def test_rational_round_trip():
-    assert parse_rational("3/4") == F(3, 4)
-    assert parse_rational("-2/6") == F(-1, 3)
-    assert parse_rational(5) == F(5)
-    assert parse_rational("7") == F(7)
+    assert parse_rational("3/4", "x") == F(3, 4)
+    assert parse_rational("-2/6", "x") == F(-1, 3)
+    assert parse_rational(5, "x") == F(5)
+    assert parse_rational("7", "x") == F(7)
     assert format_rational(F(-1, 3)) == "-1/3"
-    for bad in ("1.5", "a/b", "1/0", None):
-        with pytest.raises((RejectedInputError, TypeError)):
-            parse_rational(bad)
+    for bad in ("1.5", "a/b", "1/0", None, True):
+        with pytest.raises(RejectedInputError, match="^x "):
+            parse_rational(bad, "x")
 
 
 def test_decimal_rendering_is_display_only():

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from ddmlab import engine, measures, suites, symbolic, verify
-from ddmlab.budgeted import BudgetedProblem, psi_budgeted
+from ddmlab.budgeted import BudgetedProblem, brute_force_psi, psi_budgeted
 from ddmlab.covers import TruncationConfig, is_valid_cover
 from ddmlab.errors import InfeasibleError, RejectedInputError, TooLargeError
 from ddmlab.measures import BernoulliMeasure, DiracMeasure, cesaro, eval0, eval_shifted
@@ -216,8 +216,27 @@ class TestEmptyQuery:
     def test_root_front_has_one_zero_option(self):
         empty = WindowSet.empty(2)
         root = engine.RootFront(empty, [chain(), ALT], TruncationConfig(1), engine.prune)
-        assert root.frame is None
+        assert root.frame.cells == ()
         assert root.options == [((0, 0), ())]
+
+    def test_oracles_give_zero(self):
+        empty, cfg = WindowSet.empty(2), TruncationConfig(2, 1, -1)
+        assert engine.brute_force_phi(empty, chain(), cfg) == 0
+        assert engine.brute_force_phi(empty, chain(), cfg, base_graded=True) == 0
+        assert engine.brute_force_phi_overlapping(empty, chain(), cfg) == 0
+        problem = BudgetedProblem(empty, ALT, ((chain(), F(1, 2)),), cfg)
+        assert brute_force_psi(problem) == (0, (0, 0))
+        for bound in (F(0), F(-1)):
+            problem = BudgetedProblem(empty, ALT, ((chain(), bound),), cfg)
+            with pytest.raises(InfeasibleError, match="no labeling meets the budgets"):
+                brute_force_psi(problem)
+
+    def test_a_window_that_misses_the_floor_is_rejected(self):
+        # the empty query's window is checked like any other query's
+        pinned = TruncationConfig(1, 0, 0, window_lo=0, window_hi=1)
+        for q in (WindowSet.empty(2), cyl(0, 0)):
+            with pytest.raises(RejectedInputError, match="must reach the grading floor"):
+                engine.phi_truncated(q, chain(), pinned)
 
     def test_optimizers_give_zero_on_an_empty_checked_cover(self):
         empty, cfg = WindowSet.empty(2), caratheodory_config(depth=1)
