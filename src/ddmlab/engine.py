@@ -26,9 +26,11 @@ priced at one coordinate, which lets a full subtree be bounded: when every
 cost component is either 0 at the node or made of parts that take the node
 whole in their transfer operator's decision table
 (:class:`measures.DecisionTable`) or price it at 0, taking the node attains
-the subtree's optimum and its children are not expanded.  Take wins ties
-in every keep rule, so the bound changes no value, witness or front.
-Components that may be negative are never bounded.
+the subtree's optimum and its children are not expanded.  A node of any
+kind, full or partial, that costs 0 in every component is taken as well,
+since 0 bounds its subtree below.  Take wins ties in every keep rule, so
+the bound changes no value, witness or front.  Components that may be
+negative are never bounded.
 
 One walk of this tree serves every optimizer, through :class:`RootFront`.
 Each node returns a front of (cost vector, trace) options, one cost
@@ -179,6 +181,7 @@ def _walk(frame: Frame, comps, keep):
     n, depth = frame.n, frame.depth
     full_m = frame.qlo - frame.floor0  # a node at level m <= full_m is full
     at = frame.floor0 - frame.base_shift  # the coordinate every node is read at
+    bounded = all(mu.nonnegative for mu in comps)  # a signed walk is never bounded
     count = 0
     rules = None  # per component, set up at the first full node that may split
 
@@ -195,11 +198,13 @@ def _walk(frame: Frame, comps, keep):
         options = [(take, (m, word))]
         if m == -depth:
             return options
-        if m <= full_m:
-            if rules is None:
+        full = m <= full_m
+        if bounded:
+            if full and rules is None:
                 rules = _bound_rules(comps, at)
-            if rules and _take_attains(rules, take, word, m + depth, at):
+            if _take_attains(rules if full else (), take, word, m + depth, at):
                 return options
+        if full:
             fronts = [rec((symbol,) + word, None, m - 1) for symbol in range(n)]
         else:
             place = n ** (frame.whi - frame.floor(m) + 1)
@@ -226,10 +231,7 @@ def _walk(frame: Frame, comps, keep):
 
 def _bound_rules(comps, at):
     """Per cost component, its Markov-form decision tables and its other
-    parts, for words read at coordinate ``at``; empty when a component may
-    be negative, for then no node is bounded."""
-    if not all(mu.nonnegative for mu in comps):
-        return []
+    parts, for words read at coordinate ``at``."""
     rules = []
     for mu in comps:
         parts = mu.transfer(at)
@@ -241,10 +243,16 @@ def _bound_rules(comps, at):
 
 
 def _take_attains(rules, take, word, k, at):
-    """Whether taking a full node with k levels below it attains its
-    subtree's optimum in every component: each component is 0 at the node,
-    or each of its Markov-form parts takes the node in its decision table
-    and each other part prices the node at 0."""
+    """Whether taking a node with k levels below it, priced by nonnegative
+    components, attains its subtree's optimum in every component.  Any node
+    does when it costs 0 in all of them, for 0 bounds its subtree below.  A
+    full node, given the ``rules`` of its components, also does when each
+    component is 0 at the node, or each of its Markov-form parts takes the
+    node in its decision table and each other part prices the node at 0."""
+    if not any(take):
+        return True
+    if not rules:  # a partial node, whose subtree no table describes
+        return False
     for value, (tables, others) in zip(take, rules):
         if not value:
             continue

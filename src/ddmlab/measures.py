@@ -87,7 +87,7 @@ class CylinderMeasure:
         """The parts of positive weight that this measure sums, for words
         read at coordinate ``at``, as (part, table) pairs: ``table`` is the
         part's :class:`DecisionTable` when the part is in Markov form there,
-        else None.  Tables are kept per measure and coordinate."""
+        else None.  Tables are kept per measure and grown on demand."""
         return ((self, None),)
 
 
@@ -114,15 +114,18 @@ class MarkovMeasure(CylinderMeasure):
         # product is taken over integers and reduced once
         self._starts: dict[int, tuple] = {}
         self._steps = tuple(tuple((x.numerator, x.denominator) for x in row) for row in self.a)
-        self._tables: dict[int, DecisionTable] = {}
+        # one table per distinct marginal, so a chain whose marginal does not
+        # change with the coordinate (a product or stationary one) has one
+        self._tables: dict[tuple[Fraction, ...], DecisionTable] = {}
 
     def __repr__(self):
         return f"MarkovMeasure(pi={self.pi}, a={self.a})"
 
     def transfer(self, at: int) -> tuple:
-        table = self._tables.get(at)
+        rho = self._marginal(at)
+        table = self._tables.get(rho)
         if table is None:
-            table = self._tables[at] = DecisionTable(self._marginal(at), self.a)
+            table = self._tables[rho] = DecisionTable(rho, self.a)
         return ((self, table),)
 
     def _marginal(self, lo: int) -> tuple[Fraction, ...]:

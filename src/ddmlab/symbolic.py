@@ -74,6 +74,18 @@ class Window:
         return self.lo <= other.lo and other.hi <= self.hi
 
 
+# one shared Window per (lo, hi), built and checked once; only valid windows
+# are stored, at most 8,385 under the +-64 bound
+_WINDOWS: dict[tuple[int, int], Window] = {}
+
+
+def _window(lo: int, hi: int) -> Window:
+    window = _WINDOWS.get((lo, hi))
+    if window is None:
+        window = _WINDOWS[(lo, hi)] = Window(lo, hi)
+    return window
+
+
 def _cell_count(n: int, window: Window) -> int:
     count = n ** window.span
     if count > MAX_CELLS:
@@ -94,11 +106,10 @@ def word_rank(n: int, word: tuple[int, ...]) -> int:
 
 
 def rank_word(n: int, span: int, rank: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(span):
-        out.append(rank % n)
-        rank //= n
-    return tuple(reversed(out))
+    out = [0] * span
+    for j in range(span - 1, -1, -1):
+        rank, out[j] = divmod(rank, n)
+    return tuple(out)
 
 
 class WindowSet:
@@ -144,13 +155,24 @@ class WindowSet:
 
     @classmethod
     def cylinder(cls, n: int, start: int, word: Iterable[int]) -> "WindowSet":
+        """The set of one word on [start, start + len(word) - 1], born with
+        its canonical key: one word has no redundant end coordinate, and
+        over one symbol it is the full space."""
         word = tuple(word)
         if not word:
             raise RejectedInputError("cylinder needs at least one symbol")
-        window = Window(start, start + len(word) - 1)
+        end = start + len(word) - 1
+        window = _window(start, end)
+        rank = word_rank(n, word)
         if n ** len(word) > TREE_CELLS:
-            return _TreeSet(n, window, _ranks_tree(n, [word_rank(n, word)], len(word)))
-        return cls(n, window, 1 << word_rank(n, word))
+            s = _TreeSet(n, window, _ranks_tree(n, [rank], len(word)))
+            key = (start, end, s.bits)
+        else:
+            bits = 1 << rank
+            s = cls(n, window, bits)
+            key = (start, end, bits) if n > 1 else ("full",)
+        object.__setattr__(s, "_key", key)
+        return s
 
     @classmethod
     def from_words(cls, n: int, window: Window, words: Iterable[tuple[int, ...]]) -> "WindowSet":
@@ -178,15 +200,22 @@ class WindowSet:
         return key
 
     def canonicalize(self) -> "WindowSet":
+        """The set on its canonical window: the set itself when its window
+        and bits already are the key's."""
+        window = self.window
+        if window is None:  # the degenerate encoding of the empty or full set
+            return self
         key = self.canonical_key()
         if key == ("empty",):
             return WindowSet.empty(self.n)
         if key == ("full",):
             return WindowSet.full_space(self.n)
         lo, hi, bits = key
+        if bits is self.bits and window.lo == lo and window.hi == hi:
+            return self
         if isinstance(bits, _Node):
-            return _TreeSet(self.n, Window(lo, hi), bits)
-        return WindowSet(self.n, Window(lo, hi), bits)
+            return _TreeSet(self.n, _window(lo, hi), bits)
+        return WindowSet(self.n, _window(lo, hi), bits)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, WindowSet):
@@ -238,7 +267,7 @@ class WindowSet:
         if key == ("full",):
             return (1 << count) - 1
         lo, hi, bits = key
-        if not window.contains(Window(lo, hi)):
+        if not (window.lo <= lo and hi <= window.hi):
             raise RejectedInputError("target window does not contain the set's window")
         n = self.n
         if isinstance(bits, _Node):
@@ -579,11 +608,11 @@ def set_algebra(a: WindowSet, b: WindowSet, op: str) -> WindowSet:
     if ka in degens and kb in degens:
         window = None
     elif ka in degens:
-        window = Window(kb[0], kb[1])
+        window = _window(kb[0], kb[1])
     elif kb in degens:
-        window = Window(ka[0], ka[1])
+        window = _window(ka[0], ka[1])
     else:
-        window = Window(min(ka[0], kb[0]), max(ka[1], kb[1]))
+        window = _window(min(ka[0], kb[0]), max(ka[1], kb[1]))
     if window is None:
         if combine(int(ka == ("full",)), int(kb == ("full",))):
             return WindowSet.full_space(a.n)
@@ -667,10 +696,16 @@ def is_subset(a: WindowSet, b: WindowSet) -> bool:
 
 
 def union_all(n: int, sets: Iterable[WindowSet]) -> WindowSet:
-    acc = WindowSet.empty(n)
+    """Canonical union of the sets; the empty set when there are none."""
+    acc = None
     for s in sets:
-        acc = set_algebra(acc, s, "union")
-    return acc
+        if acc is not None:
+            acc = set_algebra(acc, s, "union")
+        elif s.n != n:
+            raise RejectedInputError("operands live over different alphabets")
+        else:
+            acc = s.canonicalize()
+    return WindowSet.empty(n) if acc is None else acc
 
 
 def all_window_sets(n: int, window: Window) -> Iterator[WindowSet]:

@@ -5,8 +5,10 @@ has a full subtree, whose optimum under a measure in Markov form is
 T(w) * h(w0, k).  The walk stops at such a node when taking it attains that
 optimum in every cost component.  These tests pin the closed form against
 the unbounded tree, the guard against partial subtrees, and the bounded
-walk against the unbounded walk and the enumeration oracles.  The rule is
-switched off by patching ``engine._take_attains`` inside a test.
+walk against the unbounded walk and the enumeration oracles.  Any node,
+full or partial, that costs 0 in every nonnegative component is taken as
+well.  Both rules are switched off by patching ``engine._take_attains``
+inside a test.
 """
 
 import random
@@ -18,7 +20,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
-from ddmlab import budgeted, engine, measures, suites
+from ddmlab import budgeted, engine, measures, suites, symbolic
 from ddmlab.budgeted import BudgetedProblem, brute_force_psi, psi_budgeted
 from ddmlab.covers import TruncationConfig, cover_cost, is_valid_cover
 from ddmlab.errors import BitsetCapError, InfeasibleError
@@ -91,8 +93,19 @@ class TestDecisionTables:
                                      (UNIFORM_CHAIN, point, measures.BernoulliMeasure((1, 0))))
         parts = mix.transfer(0)
         assert [part for part, _ in parts] == [UNIFORM_CHAIN, point]
-        assert parts[0][1] is UNIFORM_CHAIN.transfer(0)[0][1]  # kept per coordinate
+        assert parts[0][1] is UNIFORM_CHAIN.transfer(0)[0][1]  # kept per measure
         assert parts[1][1] is None
+
+    def test_one_table_per_distinct_marginal(self):
+        # a product or stationary chain reads the same marginal everywhere
+        for mu in (measures.BernoulliMeasure((F(1, 3), F(2, 3))),
+                   measures.stationary_markov(CHAIN_A)):
+            assert mu.transfer(0)[0][1] is mu.transfer(3)[0][1]
+        # a chain started off its stationary vector does not
+        tables = [UNIFORM_CHAIN.transfer(at)[0][1] for at in range(3)]
+        assert len({id(table) for table in tables}) == 3
+        assert tables[0].rho != tables[1].rho
+        assert UNIFORM_CHAIN.transfer(1)[0][1] is tables[1]
 
     def test_cesaro_of_a_point_mass_has_no_table(self):
         avg = measures.cesaro(measures.DiracMeasure(2, (0, 1)), 2)
@@ -130,6 +143,44 @@ class TestFullSubtreeGuard:
         frame = engine.build_frame(cyl(0, 0), TruncationConfig(3, 0, 0))
         engine._walk(frame, [UNIFORM_CHAIN, signed], budgeted.prune)
         assert len(nodes) == 2 * (2 ** 4 - 1)  # every node, both components
+
+
+class TestZeroNodes:
+    # the point mass at 000... prices a node at 0 unless its word is all 0s;
+    # the query reads coordinate -2, so at D=2 every node that may split is
+    # partial and no decision table is ever consulted
+    POINT = measures.DiracMeasure(2, (0,))
+    CFG = TruncationConfig(2, 1, 0)
+
+    def query(self):
+        return symbolic.union_all(
+            2, [cyl(-2, 0, 0, 0), cyl(-2, 1, 0, 1), cyl(-1, 1, 1), cyl(-2, 0, 1, 0)]
+        )
+
+    def test_zero_priced_partial_nodes_stop(self, monkeypatch):
+        q = self.query()
+        frame = engine.build_frame(q, self.CFG)
+        assert frame.qlo - frame.floor0 == -self.CFG.depth
+        nodes = counted_walk(monkeypatch)
+        bounded = solved(engine.phi_truncated, q, self.POINT, self.CFG)
+        visited = len(nodes)
+        nodes.clear()
+        with unbounded():
+            assert solved(engine.phi_truncated, q, self.POINT, self.CFG) == bounded
+        assert visited < len(nodes)
+        assert bounded[0] == 1 == engine.brute_force_phi(q, self.POINT, self.CFG)
+
+    def test_signed_components_walk_every_node_even_at_zero(self, monkeypatch):
+        # the signed difference of the point mass and itself is 0 everywhere
+        zero = measures.SignedDiffMeasure(self.POINT, 1, self.POINT)
+        frame = engine.build_frame(self.query(), self.CFG)
+        nodes = counted_walk(monkeypatch)
+        engine._walk(frame, [self.POINT, zero], budgeted.prune)
+        visited = len(nodes)
+        nodes.clear()
+        with unbounded():
+            engine._walk(frame, [self.POINT, zero], budgeted.prune)
+        assert visited == len(nodes)
 
 
 class TestLazyFrame:

@@ -52,6 +52,38 @@ def test_engine_and_verify_leave_set_forms_to_symbolic():
     assert found == []
 
 
+def test_walk_prices_nodes_through_eval_shifted_and_sets_through_init():
+    """``perfbench/tracer.py`` counts ``engine.nodes`` as the
+    ``measures.eval_shifted`` calls made under a solve, and
+    ``symbolic.windowsets_built`` as the calls of ``WindowSet.__init__``.
+    Until the library keeps these counters itself, the walk prices each
+    node through ``eval_shifted`` on a cylinder and through no other
+    pricing function, and ``symbolic`` builds no set around ``__init__``;
+    otherwise both counters would read low while the work is still done."""
+    root = Path(ddmlab.__file__).parent
+
+    def names(tree):
+        for node in ast.walk(tree):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if isinstance(node, ast.alias):
+                name = node.name
+            if name:
+                yield node.lineno, name
+
+    engine = ast.parse((root / "engine.py").read_text(encoding="utf-8"))
+    walk = next(
+        node for node in ast.walk(engine)
+        if isinstance(node, ast.FunctionDef) and node.name == "_walk"
+    )
+    used = {name for _, name in names(walk)}
+    assert {"eval_shifted", "cylinder"} <= used
+    pricing = {"cell_value", "_cell_sum", "eval0"}
+    found = [f"engine.py:{line} {name}" for line, name in names(walk) if name in pricing]
+    symbolic = ast.parse((root / "symbolic.py").read_text(encoding="utf-8"))
+    found += [f"symbolic.py:{line} {name}" for line, name in names(symbolic) if name == "__new__"]
+    assert found == []
+
+
 def test_walk_and_certificate_stay_inside_the_engine():
     # every optimizer reaches the walk and the certificate re-check through
     # ``engine.RootFront``

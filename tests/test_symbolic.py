@@ -192,3 +192,90 @@ def test_literal_forms():
     assert EMPTY.literal() == "empty"
     assert cyl(-1, 1, 0).literal() == "cyl(-1,[1,0])"
     assert "union(" in symbolic.union(cyl(0, 0, 0), cyl(0, 1, 1)).literal()
+
+
+class TestBornCanonical:
+    """A cylinder carries its canonical key from birth, a canonical set is
+    its own canonical form, and windows are shared values."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_cylinder_key_equals_the_computed_key(self, n):
+        for start in (-2, 0, 3):
+            for span in (1, 2, 3):
+                for rank in range(n ** span):
+                    word = symbolic.rank_word(n, span, rank)
+                    s = WindowSet.cylinder(n, start, word)
+                    assert s._key is not None
+                    assert s._key == symbolic._canonical_key(n, s.window, s.bits, s._full)
+
+    def test_canonical_set_is_its_own_canonical_form(self):
+        rng = random.Random(12)
+        for _ in range(200):
+            s = random_set(rng)
+            c = s.canonicalize()
+            assert c.canonicalize() is c
+            assert c == s
+        c = cyl(0, 1, 0)
+        assert c.canonicalize() is c
+        for degenerate in (X, EMPTY):
+            assert degenerate.canonicalize() is degenerate
+
+    def test_redundant_set_canonicalizes_to_an_equal_new_set(self):
+        wide = symbolic.refine(cyl(0, 1), Window(-2, 2))
+        c = wide.canonicalize()
+        assert c is not wide and c == wide and c.window == Window(0, 0)
+        for degenerate in (WindowSet(2, Window(-1, 1), 0), WindowSet(2, Window(0, 1), 15)):
+            c = degenerate.canonicalize()
+            assert c is not degenerate and c == degenerate and c.window is None
+
+    def test_one_window_per_pair(self):
+        assert symbolic._window(-3, 2) is symbolic._window(-3, 2)
+        assert cyl(-1, 0, 1).window is cyl(-1, 1, 1).window is symbolic._window(-1, 0)
+        u = symbolic.union(cyl(0, 0, 1), cyl(0, 1, 0))
+        assert u.window is symbolic._window(0, 1)
+
+    def test_the_table_holds_only_valid_windows(self):
+        with pytest.raises(RejectedInputError, match="coordinate 65 outside the configured bound"):
+            symbolic._window(0, 65)
+        with pytest.raises(RejectedInputError, match="coordinate 65 outside the configured bound"):
+            WindowSet.cylinder(2, 64, (0, 1))
+        with pytest.raises(RejectedInputError, match="is empty"):
+            symbolic._window(2, 1)
+        assert (0, 65) not in symbolic._WINDOWS and (64, 65) not in symbolic._WINDOWS
+        assert (2, 1) not in symbolic._WINDOWS
+        bound = symbolic.MAX_ABS_COORDINATE
+        for (lo, hi), window in symbolic._WINDOWS.items():
+            assert -bound <= lo <= hi <= bound
+            assert (window.lo, window.hi) == (lo, hi)
+        assert len(symbolic._WINDOWS) <= (2 * bound + 1) * (2 * bound + 2) // 2
+
+    def test_rank_word_inverts_word_rank(self):
+        for n in (1, 2, 3):
+            for span in range(5):
+                for rank in range(n ** span):
+                    word = symbolic.rank_word(n, span, rank)
+                    assert len(word) == span
+                    assert symbolic.word_rank(n, word) == rank
+
+
+class TestUnionAll:
+    def test_no_sets_give_the_empty_set(self):
+        u = symbolic.union_all(2, [])
+        assert u == EMPTY and u.window is None
+
+    def test_one_set_gives_its_canonical_form(self):
+        wide = symbolic.refine(cyl(0, 1), Window(-2, 2))
+        u = symbolic.union_all(2, iter([wide]))
+        assert u == wide and u.canonicalize() is u
+        with pytest.raises(RejectedInputError, match="different alphabets"):
+            symbolic.union_all(3, [wide])
+
+    def test_several_sets_fold_the_union(self):
+        rng = random.Random(13)
+        for count in range(2, 6):
+            sets = [random_set(rng) for _ in range(count)]
+            expected = EMPTY
+            for s in sets:
+                expected = symbolic.union(expected, s)
+            u = symbolic.union_all(2, (s for s in sets))
+            assert u == expected and u.canonicalize() is u

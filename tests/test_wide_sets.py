@@ -166,3 +166,24 @@ def test_algebra_members_keep_the_bitset_order():
         assert all(isinstance(m.canonical_key()[2], symbolic._Node)
                    for m in members if not m.is_degenerate)
         assert [m.bits_on(window) for m in members] == order
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_tree_cylinder_is_born_with_its_key(n):
+    # over two or more symbols every cylinder is a tree here; its preset key
+    # is the one read off its tree, and the same words as the bitset's key
+    for start in (-1, 0, 2):
+        for span in (1, 2, 3):
+            for rank in range(n ** span):
+                word = symbolic.rank_word(n, span, rank)
+                flat = WindowSet.cylinder(n, start, word)
+                with trees_only():
+                    s = WindowSet.cylinder(n, start, word)
+                    assert isinstance(s, symbolic._TreeSet) == (n > 1)
+                    if n > 1:
+                        assert s._key == symbolic._tree_key(n, start, s.bits)
+                    else:
+                        assert s._key == symbolic._canonical_key(n, s.window, s.bits, s._full)
+                    # over one symbol it is the full space, kept windowless
+                    assert (s.canonicalize() is s) == (n > 1)
+                    assert key_bits(s) == flat.canonical_key()
