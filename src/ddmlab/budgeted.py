@@ -108,7 +108,12 @@ def psi_eps_grid(
     monotonicity holds with infeasible cells read as plus infinity: values
     never decrease as the slack shrinks, and never decrease as the shift
     moves away from zero.  Each shift's front is solved once and filtered
-    for every slack, and each option a cell picks is re-checked once.
+    for every slack, and each option a cell picks is re-checked once.  The
+    budget base is the least phi component of the deepest shift's front,
+    whose option is re-checked too.  The sweep's trees nest and read every
+    node at one coordinate, so the shifts' walks share one memo of node
+    fronts: a full node or a leaf of an earlier shift is read back, not
+    walked again (:class:`engine.RootFront`).
     """
     eps_list = tuple(Fraction(e) for e in eps_list)
     i_list = tuple(int(i) for i in i_list)
@@ -123,8 +128,11 @@ def psi_eps_grid(
                 f"config carries only depth and width, not {name}={getattr(cfg, name)}"
             )
     sweep = engine.shift_sweep(q, i_list, cfg.depth, cfg.width)
-    surrogate = engine.phi_truncated(q, phi, sweep[-1]).value
-    roots = [engine.RootFront(q, [psi, phi], cell_cfg, prune) for cell_cfg in sweep]
+    if not phi.nonnegative:
+        raise RejectedInputError("cover optimization needs a nonnegative measure")
+    memo: dict = {}
+    roots = [engine.RootFront(q, [psi, phi], cell_cfg, prune, memo=memo) for cell_cfg in sweep]
+    surrogate = roots[-1].least(1).vector[1]
     cells = {}
     for eps in eps_list:
         for i, root in zip(i_list, roots):

@@ -37,7 +37,9 @@ Each node returns a front of (cost vector, trace) options, one cost
 component per measure, reduced by a ``keep`` rule: the scalar problem is
 the one-component case that keeps the first cheapest option, and budgeted
 problems (module ``budgeted``) keep the Pareto antichain left by
-:func:`prune`.  Every optimum's witness is re-validated and re-priced on
+:func:`prune`.  Walks whose trees share nodes may share the fronts of full
+nodes and leaves through a memo their caller owns (:class:`_Walk`); the
+engine keeps no cache of its own.  Every optimum's witness is re-validated and re-priced on
 each component through the window-set path, and a mismatch raises
 :class:`CertificateError`.  An independent
 brute-force enumerator over grade labelings of the finest classes is the
@@ -170,63 +172,101 @@ def _combine(fronts, keep):
     return acc
 
 
-def _walk(frame: Frame, comps, keep):
-    """Root front of (cost vector, trace) options of the take-or-split tree.
+class _Walk:
+    """One take-or-split walk.  The recursion is a method, so a finished
+    walk leaves no reference cycle for the collector to find.
 
-    A vector has one component per measure of ``comps``.  A trace is either
-    the pair (m, word) of a taken node or a pair of traces, whose taken
-    nodes together make up a sum of options.  A frame with no cells has the
-    single option of the empty cover, at cost 0 in every component.
+    A node is the pair (floor, word) of its absolute grading floor and its
+    word on [floor, whi].  Below a full node every left extension of the
+    word lies in Q, and a leaf has nothing below it, so the front of either
+    depends on the query only through the coordinate ``at`` every node is
+    read at and the deepest floor.  Those fronts are kept, as tuples, in the
+    caller's ``memo`` under (at, floor_d) and then (floor, word), and a walk
+    that meets the node again reads them back.  A partial node's front
+    depends on the cells of Q below it and is never kept.
     """
-    n, depth = frame.n, frame.depth
-    full_m = frame.qlo - frame.floor0  # a node at level m <= full_m is full
-    at = frame.floor0 - frame.base_shift  # the coordinate every node is read at
-    bounded = all(mu.nonnegative for mu in comps)  # a signed walk is never bounded
-    count = 0
-    rules = None  # per component, set up at the first full node that may split
 
-    def rec(word, cells, m):
-        nonlocal count, rules
-        count += 1
-        if count > NODE_CAP:
+    __slots__ = ("n", "comps", "keep", "qlo", "floor_d", "whi", "at", "bounded",
+                 "rules", "count", "memo")
+
+    def __init__(self, frame: Frame, comps, keep, memo):
+        self.n, self.comps, self.keep = frame.n, comps, keep
+        self.qlo, self.whi = frame.qlo, frame.whi  # a node with floor <= qlo is full
+        self.floor_d = frame.floor(-frame.depth)
+        self.at = frame.floor0 - frame.base_shift  # the coordinate every node is read at
+        self.bounded = all(mu.nonnegative for mu in comps)  # a signed walk is never bounded
+        self.rules = None  # per component, set up at the first full node that may split
+        self.count = 0
+        self.memo = None if memo is None else memo.setdefault((self.at, self.floor_d), {})
+
+    def node(self, word, cells, floor):
+        full = floor <= self.qlo
+        memo = self.memo if full or floor == self.floor_d else None
+        if memo is not None:
+            key = (floor, word)
+            front = memo.get(key)
+            if front is not None:
+                return front
+        self.count += 1
+        if self.count > NODE_CAP:
             raise BudgetExceededError(
                 f"refinement tree exceeded the node cap (engine.NODE_CAP = {NODE_CAP})"
             )
-        cyl = symbolic.WindowSet.cylinder(n, frame.floor(m), word)
-        shift = frame.cost_shift(m)
-        take = tuple([measures.eval_shifted(mu, shift, cyl) for mu in comps])
-        options = [(take, (m, word))]
-        if m == -depth:
-            return options
-        full = m <= full_m
-        if bounded:
-            if full and rules is None:
-                rules = _bound_rules(comps, at)
-            if _take_attains(rules if full else (), take, word, m + depth, at):
-                return options
-        if full:
-            fronts = [rec((symbol,) + word, None, m - 1) for symbol in range(n)]
-        else:
-            place = n ** (frame.whi - frame.floor(m) + 1)
-            buckets: dict[int, list] = {}
-            for cell in cells:
-                buckets.setdefault(cell // place % n, []).append(cell)
-            fronts = [
-                rec((symbol,) + word, group, m - 1) for symbol, group in sorted(buckets.items())
-            ]
-        return keep(options + _combine(fronts, keep))
+        n, at = self.n, self.at
+        cyl = symbolic.WindowSet.cylinder(n, floor, word)
+        shift = floor - at
+        take = tuple([measures.eval_shifted(mu, shift, cyl) for mu in self.comps])
+        front = [(take, (floor, word))]
+        k = floor - self.floor_d  # levels below the node
+        stop = not k
+        if not stop and self.bounded:
+            if full and self.rules is None:
+                self.rules = _bound_rules(self.comps, at)
+            stop = _take_attains(self.rules if full else (), take, word, k, at)
+        if not stop:
+            if full:
+                fronts = [self.node((symbol,) + word, None, floor - 1) for symbol in range(n)]
+            else:
+                place = n ** (self.whi - floor + 1)
+                buckets: dict[int, list] = {}
+                for cell in cells:
+                    buckets.setdefault(cell // place % n, []).append(cell)
+                fronts = [
+                    self.node((symbol,) + word, group, floor - 1)
+                    for symbol, group in sorted(buckets.items())
+                ]
+            front.extend(_combine(fronts, self.keep))
+            front = self.keep(front)
+        if memo is not None:
+            front = memo[key] = tuple(front)
+        return front
 
+
+def _walk(frame: Frame, comps, keep, *, memo=None):
+    """Root front of (cost vector, trace) options of the take-or-split tree,
+    as a tuple.
+
+    A vector has one component per measure of ``comps``.  A trace is either
+    the pair (floor, word) of a taken node or a pair of traces, whose taken
+    nodes together make up a sum of options.  A frame with no cells has the
+    single option of the empty cover, at cost 0 in every component.  A
+    ``memo`` shared by walks of the same ``comps`` and ``keep`` lets them
+    share the fronts of full nodes and leaves (:class:`_Walk`).
+    """
+    n = frame.n
     length = frame.whi - frame.floor0 + 1
     size = n ** length
     roots: dict[int, list] = {}
     for cell in frame.cells:
         roots.setdefault(cell % size, []).append(cell)
     if not roots:
-        return [((ZERO,) * len(comps), ())]
-    return _combine(
-        [rec(symbolic.rank_word(n, length, r), cells, 0) for r, cells in sorted(roots.items())],
+        return (((ZERO,) * len(comps), ()),)
+    walk = _Walk(frame, comps, keep, memo)
+    return tuple(_combine(
+        [walk.node(symbolic.rank_word(n, length, r), cells, frame.floor0)
+         for r, cells in sorted(roots.items())],
         keep,
-    )
+    ))
 
 
 def _bound_rules(comps, at):
@@ -266,7 +306,7 @@ def _take_attains(rules, take, word, k, at):
 
 
 def _taken(trace):
-    """The (level, word) nodes taken in a trace; none in the empty trace."""
+    """The (floor, word) nodes taken in a trace; none in the empty trace."""
     out = []
     stack = [trace] if trace else []
     while stack:
@@ -282,16 +322,17 @@ class RootFront:
     """The root front of one query's take-or-split walk under a keep rule,
     with the certificate of each option re-checked at most once.
 
-    ``options`` lists the (cost vector, trace) options of the root.
+    ``options`` is the tuple of (cost vector, trace) options of the root.
     Certificates of the scalar keep rule carry no cost vector; those of
-    every other keep rule carry it.
+    every other keep rule carry it.  Walks given one ``memo``, which must
+    share ``comps`` and ``keep``, share the fronts of full nodes and leaves.
     """
 
-    def __init__(self, q, comps, cfg, keep, base_graded=False):
+    def __init__(self, q, comps, cfg, keep, base_graded=False, *, memo=None):
         self.q, self.comps, self.cfg, self.base_graded = q, comps, cfg, base_graded
         self.vector = keep is not _cheapest
         self.frame = build_frame(q, cfg, base_graded)
-        self.options = _walk(self.frame, comps, keep)
+        self.options = _walk(self.frame, comps, keep, memo=memo)
         self._certificates: dict[int, ValueCertificate] = {}
 
     def certificate(self, k: int) -> ValueCertificate:
@@ -310,17 +351,27 @@ class RootFront:
             raise InfeasibleError(f"no cover meets the budgets {bounds} at this truncation")
         return self.certificate(min(feasible, key=lambda k: options[k][0]))
 
+    def least(self, component: int) -> ValueCertificate:
+        """Certificate of the first option least in one cost component.
+
+        The front keeps every nondominated vector, and the least of the
+        vectors minimal in a component is never dominated, so under
+        :func:`prune` that component is the optimum of its measure alone.
+        """
+        options = self.options
+        return self.certificate(min(range(len(options)), key=lambda k: options[k][0][component]))
+
 
 def _witness(root: RootFront, trace) -> Cover:
     frame = root.frame
-    per_level: dict[int, list] = {}
-    for m, word in _taken(trace):
-        per_level.setdefault(m, []).append(word)
+    per_floor: dict[int, list] = {}
+    for floor, word in _taken(trace):
+        per_floor.setdefault(floor, []).append(word)
     entries = []
-    for m in sorted(per_level, reverse=True):
-        window = symbolic.Window(frame.floor(m), frame.whi)
-        entry = symbolic.WindowSet.from_words(frame.n, window, per_level[m]).canonicalize()
-        entries.append((m, entry))
+    for floor in sorted(per_floor, reverse=True):
+        window = symbolic.Window(floor, frame.whi)
+        entry = symbolic.WindowSet.from_words(frame.n, window, per_floor[floor]).canonicalize()
+        entries.append((floor - frame.floor0, entry))
     if root.base_graded:
         return Cover(tuple(entries), base_shift=0, cost_base=root.cfg.base_shift)
     return Cover(tuple(entries), base_shift=root.cfg.base_shift)

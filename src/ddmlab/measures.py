@@ -219,7 +219,9 @@ class CesaroMeasure(CylinderMeasure):
         self.n = int(n)
         self.symbols = base.symbols
         self.nonnegative = base.nonnegative
-        self._tables: dict[int, DecisionTable | None] = {}
+        self._at: dict[int, DecisionTable | None] = {}
+        # one table per distinct averaged marginal, as in MarkovMeasure
+        self._tables: dict[tuple[Fraction, ...], DecisionTable] = {}
 
     def __repr__(self):
         return f"CesaroMeasure({self.base!r}, {self.n})"
@@ -227,15 +229,17 @@ class CesaroMeasure(CylinderMeasure):
     def transfer(self, at: int) -> tuple:
         # in Markov form when the base is at each averaged coordinate, with
         # one matrix: rho is then the average of the base's vectors
-        if at not in self._tables:
+        if at not in self._at:
             forms = [self.base.transfer(at + j) for j in range(self.n + 1)]
             tables = [form[0][1] for form in forms if len(form) == 1 and form[0][1]]
             table = None
             if len(tables) == len(forms) and all(t.a == tables[0].a for t in tables):
-                rho = [sum(col, ZERO) / len(tables) for col in zip(*(t.rho for t in tables))]
-                table = DecisionTable(rho, tables[0].a)
-            self._tables[at] = table
-        return ((self, self._tables[at]),)
+                rho = tuple(sum(col, ZERO) / len(tables) for col in zip(*(t.rho for t in tables)))
+                table = self._tables.get(rho)
+                if table is None:
+                    table = self._tables[rho] = DecisionTable(rho, tables[0].a)
+            self._at[at] = table
+        return ((self, self._at[at]),)
 
     def cell_value(self, lo: int, word: tuple[int, ...]) -> Fraction:
         total = sum((self.base.cell_value(lo + j, word) for j in range(self.n + 1)), ZERO)

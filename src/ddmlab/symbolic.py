@@ -445,11 +445,11 @@ class _TreeSet(WindowSet):
     __slots__ = ()
 
     def __init__(self, n: int, window: Window, tree: _Node):
-        object.__setattr__(self, "n", n)
+        # built as a windowless set, which the bitset cap does not bind,
+        # then given its window and tree
+        super().__init__(n, None, 0)
         object.__setattr__(self, "window", window)
         object.__setattr__(self, "bits", tree)
-        object.__setattr__(self, "_full", False)
-        object.__setattr__(self, "_key", None)
 
     def canonical_key(self):
         key = self._key

@@ -119,7 +119,10 @@ def psi_handle(
     nondominated vector, and the least of the phi-minimal vectors is never
     dominated, so that component is the truncated phi optimum.  The option
     attaining the base is re-checked through the window-set path like the
-    chosen option, each distinct option once per query.
+    chosen option, each distinct option once per query.  The handle's
+    queries share one config, so their walks share one memo of node fronts:
+    a full node or a leaf met by an earlier query is read back, not walked
+    again (:class:`engine.RootFront`).
     """
     if cfg.window_lo is None or cfg.window_hi is None:
         raise RejectedInputError("handle configs must pin the working window")
@@ -127,11 +130,11 @@ def psi_handle(
         raise RejectedInputError("cover optimization needs a nonnegative measure")
     eps = Fraction(eps)
     comps = [psi, phi]
+    memo: dict = {}
 
     def evaluator(s):
-        root = engine.RootFront(s, comps, cfg, engine.prune)
-        least = min(range(len(root.options)), key=lambda k: root.options[k][0][1])
-        base = root.certificate(least).vector[1]
+        root = engine.RootFront(s, comps, cfg, engine.prune, memo=memo)
+        base = root.least(1).vector[1]
         return root.cheapest([base + eps]).value
 
     return SetFunctionHandle(label, evaluator, psi.symbols)

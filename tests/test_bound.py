@@ -107,6 +107,16 @@ class TestDecisionTables:
         assert tables[0].rho != tables[1].rho
         assert UNIFORM_CHAIN.transfer(1)[0][1] is tables[1]
 
+    def test_cesaro_tables_are_kept_per_averaged_marginal(self):
+        # the average of a product measure's marginals is one vector
+        avg = measures.cesaro(measures.BernoulliMeasure((F(1, 3), F(2, 3))), 2)
+        assert avg.transfer(0)[0][1] is avg.transfer(3)[0][1]
+        # a chain started off its stationary vector averages new ones
+        avg = measures.cesaro(UNIFORM_CHAIN, 1)
+        tables = [avg.transfer(at)[0][1] for at in range(3)]
+        assert len({table.rho for table in tables}) == 3
+        assert avg.transfer(1)[0][1] is tables[1]
+
     def test_cesaro_of_a_point_mass_has_no_table(self):
         avg = measures.cesaro(measures.DiracMeasure(2, (0, 1)), 2)
         assert avg.transfer(0) == ((avg, None),)

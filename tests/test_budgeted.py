@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from ddmlab import engine, measures, symbolic
+from ddmlab import budgeted, engine, measures, symbolic
 from ddmlab.budgeted import (
     BudgetedProblem,
     brute_force_psi,
@@ -208,13 +208,17 @@ class TestEpsGrid:
             psi = random_measure(rng, 2)
             del checks[:]
             grid = psi_eps_grid(q, psi, phi, eps_list, i_list, TruncationConfig(1, 0, 0))
-            # each distinct option a cell picks is re-checked once; within
-            # one shift's front an option is known by its vector
+            rechecked = len(checks)
+            sweep = engine.shift_sweep(q, i_list, 1, 0)
+            # each distinct option a cell picks is re-checked once, and so is
+            # the deepest shift's least-phi option that gives the budget base;
+            # within one shift's front an option is known by its vector
             picked = {(i, cert.vector) for (_, i), cert in grid.cells.items()
                       if cert is not None}
-            assert len(checks) == len(picked)
+            base = engine.RootFront(q, [psi, phi], sweep[-1], budgeted.prune).least(1)
+            assert base.vector[1] == grid.phi_surrogate
+            assert rechecked == len(picked | {(i_list[-1], base.vector)})
             shared += len(picked) < len(grid.cells)
-            sweep = engine.shift_sweep(q, i_list, 1, 0)
             for eps in eps_list:
                 for i, cfg in zip(i_list, sweep):
                     cell = grid.cells[(eps, i)]

@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction as F
 
@@ -355,3 +356,32 @@ class TestCaps:
             phi_truncated(cyl(2, 1), ALT, TruncationConfig(1, 0, 0, window_hi=1))
         with pytest.raises(RejectedInputError):
             phi_truncated(cyl(-3, 1), ALT, TruncationConfig(1, 0, 0, window_lo=-2))
+
+
+def test_solves_and_grids_leave_no_reference_cycle():
+    # a benchmark pass runs with the collector off, so whatever a walk left
+    # in a cycle would stay in memory until the pass ends
+    from ddmlab.budgeted import psi_eps_grid
+
+    q = WindowSet.cylinder(2, 0, (1,))
+    chain = MarkovMeasure((F(1, 2), F(1, 2)), CHAIN_A)
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        phi_truncated(q, chain, TruncationConfig(3, 1, 0))
+        psi_eps_grid(q, BernoulliMeasure((F(1, 3), F(2, 3))), chain, [F(1), F(1, 2)], [0, -1],
+                     TruncationConfig(1, 0, 0))
+        gc.collect()
+        left = [
+            obj for obj in gc.garbage
+            if isinstance(obj, engine.Frame)
+            or (callable(obj) and getattr(obj, "__module__", None) == engine.__name__)
+        ]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+    assert left == []

@@ -1,0 +1,166 @@
+"""Node fronts shared through a memo.
+
+Below a full node (floor at or left of the query's canonical left edge)
+every left extension of the word lies in Q, and a leaf has nothing below
+it, so the fronts of both depend on the query only through the coordinate
+the nodes are read at and the deepest floor.  Walks that share a memo reuse
+those fronts: the queries of one ``verify.psi_handle`` and the shifts of one
+``budgeted.psi_eps_grid``.  A partial node's front depends on the cells of
+Q below it and must never be reused; the pair test below is the trap for it.
+"""
+
+import random
+from fractions import Fraction as F
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st
+
+from ddmlab import budgeted, engine, measures, suites, symbolic
+from ddmlab.covers import TruncationConfig
+from ddmlab.symbolic import WindowSet
+from ddmlab.verify import psi_handle
+
+SETTINGS = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+KINDS = ("dirac", "markov", "bernoulli", "cesaro", "convex")
+CHAIN_A = ((F(1, 2), F(1, 2)), (F(1, 4), F(3, 4)))
+# not stationary, so its decision tables split some full nodes
+UNIFORM_CHAIN = measures.MarkovMeasure((F(1, 2), F(1, 2)), CHAIN_A)
+
+
+def draw_measure(rng, kind):
+    if kind == "signed":
+        return measures.SignedDiffMeasure(suites.random_measure(rng, 2), F(rng.randint(0, 2), 2),
+                                          suites.random_measure(rng, 2))
+    return suites.random_measure(rng, 2, kind)
+
+
+def cyl(j, *word):
+    return WindowSet.cylinder(2, j, word)
+
+
+def same_root(shared, fresh):
+    """Equal option vectors and traces, witness literals and certificates."""
+    assert type(shared.options) is tuple
+    assert shared.options == fresh.options
+    for k in range(len(fresh.options)):
+        a, b = shared.certificate(k), fresh.certificate(k)
+        assert a == b
+        assert [(m, e.literal()) for m, e in a.witness.entries] == [
+            (m, e.literal()) for m, e in b.witness.entries
+        ]
+
+
+@st.composite
+def pinned_queries(draw):
+    """Two to four queries of one pinned config, with a component list."""
+    rng = random.Random(draw(st.integers(0, 2 ** 16)))
+    depth, shift = draw(st.integers(0, 2)), draw(st.sampled_from([0, -1, -2]))
+    cfg = TruncationConfig(depth, 0, shift, window_lo=min(-1, shift - depth), window_hi=2)
+    queries = [
+        suites.random_window_set(rng, 2, lo_range=(-1, 1), max_span=2, allow_degenerate=True)
+        for _ in range(draw(st.integers(2, 4)))
+    ]
+    comps = [draw_measure(rng, draw(st.sampled_from(KINDS + ("signed",)))),
+             draw_measure(rng, draw(st.sampled_from(KINDS)))]
+    return cfg, queries, comps
+
+
+@SETTINGS
+@given(pinned_queries(), st.booleans())
+def test_queries_through_one_memo_equal_fresh_walks(instance, base_graded):
+    cfg, queries, comps = instance
+    memos = {engine.prune: {}, engine._cheapest: {}}
+    for q in queries:
+        for keep, memo in memos.items():
+            parts = comps if keep is engine.prune else comps[1:]
+            shared = engine.RootFront(q, parts, cfg, keep, base_graded, memo=memo)
+            same_root(shared, engine.RootFront(q, parts, cfg, keep, base_graded))
+    for memo in memos.values():
+        assert all(type(front) is tuple for fronts in memo.values() for front in fronts.values())
+
+
+@st.composite
+def grids(draw):
+    rng = random.Random(draw(st.integers(0, 2 ** 16)))
+    q = suites.random_window_set(rng, 2, lo_range=(-1, 1), max_span=2)
+    i_list = sorted(draw(st.sets(st.integers(-3, 0), min_size=1, max_size=3)), reverse=True)
+    psi = draw_measure(rng, draw(st.sampled_from(KINDS + ("signed",))))
+    phi = draw_measure(rng, draw(st.sampled_from(KINDS)))
+    return q, psi, phi, i_list, draw(st.integers(0, 2)), draw(st.integers(0, 1))
+
+
+@SETTINGS
+@given(grids())
+def test_grid_shifts_through_one_memo_equal_fresh_walks(instance):
+    q, psi, phi, i_list, depth, width = instance
+    sweep = engine.shift_sweep(q, i_list, depth, width)
+    memo: dict = {}
+    for cfg in sweep:
+        shared = engine.RootFront(q, [psi, phi], cfg, engine.prune, memo=memo)
+        same_root(shared, engine.RootFront(q, [psi, phi], cfg, engine.prune))
+    grid = budgeted.psi_eps_grid(q, psi, phi, [F(1), F(1, 4)], i_list,
+                                 TruncationConfig(depth, width, 0))
+    assert grid.phi_surrogate == engine.phi_truncated(q, phi, sweep[-1]).value
+
+
+class TestPartialNodesAreNotShared:
+    # the node (floor 0, word (0, 0)) is full for A, whose canonical window
+    # starts at 0, and partial for B, which holds only its extension by 1 at
+    # coordinate -1; reusing a front across the two would change B's value
+    CFG = TruncationConfig(2, 0, 0, window_lo=-2, window_hi=1)
+    A = cyl(0, 0)
+    B = cyl(-1, 1, 0)
+    COMPS = [UNIFORM_CHAIN, suites.random_measure(random.Random(9), 2, "bernoulli")]
+
+    @pytest.mark.parametrize("order", [(A, B), (B, A)], ids=["full first", "partial first"])
+    def test_root_fronts_equal_fresh_walks(self, order):
+        memo: dict = {}
+        for q in order:
+            shared = engine.RootFront(q, self.COMPS, self.CFG, engine.prune, memo=memo)
+            same_root(shared, engine.RootFront(q, self.COMPS, self.CFG, engine.prune))
+
+    @pytest.mark.parametrize("order", [(A, B), (B, A)], ids=["full first", "partial first"])
+    def test_psi_handle_equals_fresh_handles(self, order):
+        psi, phi = self.COMPS
+        shared = psi_handle("psi", psi, phi, F(1, 8), self.CFG)
+        for q in order:
+            assert shared(q) == psi_handle("psi", psi, phi, F(1, 8), self.CFG)(q)
+
+    def test_the_node_is_read_back_only_where_it_is_full(self):
+        memo: dict = {}
+        engine.RootFront(self.A, self.COMPS, self.CFG, engine.prune, memo=memo)
+        [fronts] = memo.values()
+        assert (0, (0, 0)) in fronts
+        before = dict(fronts)
+        engine.RootFront(self.B, self.COMPS, self.CFG, engine.prune, memo=memo)
+        # B's partial nodes are walked and not stored; its leaves are shared
+        assert all(fronts[key] is front for key, front in before.items())
+        assert all(floor == -2 for floor, _ in set(fronts) - set(before))
+
+
+def test_psi_handle_queries_share_leaves(monkeypatch):
+    # at depth 0 every node is a leaf, so a member whose cells earlier
+    # members priced walks none of them; only its certificates are priced
+    cfg = suites.caratheodory_config(0)
+    psi = suites.random_measure(random.Random(4), 2, "markov")
+    shared = psi_handle("psi", psi, UNIFORM_CHAIN, F(1, 8), cfg)
+    fresh = psi_handle("psi", psi, UNIFORM_CHAIN, F(1, 8), cfg)
+    a, b = cyl(0, 0), cyl(0, 1)
+    shared(a)
+    shared(b)
+    prices = []
+    price = measures.eval_shifted
+    monkeypatch.setattr(measures, "eval_shifted", lambda *args: prices.append(1) or price(*args))
+    union = symbolic.union(a, b)
+    values, counts = [], []
+    for handle in (shared, fresh):
+        del prices[:]
+        values.append(handle(union))
+        counts.append(len(prices))
+    assert values[0] == values[1]
+    leaves = len(engine.build_frame(union, cfg).cells)
+    assert leaves == 32
+    # both handles re-check the same options; the fresh one also walks
+    assert counts[1] - counts[0] == 2 * leaves

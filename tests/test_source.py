@@ -71,14 +71,19 @@ def test_walk_prices_nodes_through_eval_shifted_and_sets_through_init():
                 yield node.lineno, name
 
     engine = ast.parse((root / "engine.py").read_text(encoding="utf-8"))
-    walk = next(
+    # the walk is the function ``_walk`` and the class ``_Walk`` of its nodes
+    walk = [
         node for node in ast.walk(engine)
-        if isinstance(node, ast.FunctionDef) and node.name == "_walk"
-    )
-    used = {name for _, name in names(walk)}
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in ("_walk", "_Walk")
+    ]
+    assert len(walk) == 2
+    used = {name for part in walk for _, name in names(part)}
     assert {"eval_shifted", "cylinder"} <= used
     pricing = {"cell_value", "_cell_sum", "eval0"}
-    found = [f"engine.py:{line} {name}" for line, name in names(walk) if name in pricing]
+    found = [
+        f"engine.py:{line} {name}" for part in walk for line, name in names(part)
+        if name in pricing
+    ]
     symbolic = ast.parse((root / "symbolic.py").read_text(encoding="utf-8"))
     found += [f"symbolic.py:{line} {name}" for line, name in names(symbolic) if name == "__new__"]
     assert found == []
@@ -134,3 +139,45 @@ def test_public_names_are_classes_and_functions_of_the_package():
     ]
     assert found == []
     assert len(set(ddmlab.__all__)) == len(ddmlab.__all__)
+
+
+def test_node_fronts_are_shared_only_by_their_owners():
+    """A memo of node fronts lives in one ``verify.psi_handle`` or one
+    ``budgeted.psi_eps_grid`` call, and ``engine`` keeps none of its own:
+    a cache that outlived its owner would serve repeated solves, such as a
+    benchmark's passes, from memory, and would keep every front alive."""
+    from ddmlab import engine
+
+    root = Path(ddmlab.__file__).parent
+    owners = []
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        scopes = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+        scopes += [node for cls in tree.body if isinstance(cls, ast.ClassDef)
+                   for node in cls.body if isinstance(node, ast.FunctionDef)]
+        for scope in scopes:
+            for node in ast.walk(scope):
+                if isinstance(node, ast.Call) and any(k.arg == "memo" for k in node.keywords):
+                    owners.append((path.name, scope.name))
+    # RootFront.__init__ hands its own parameter to the walk
+    assert sorted(set(owners)) == [
+        ("budgeted.py", "psi_eps_grid"), ("engine.py", "__init__"), ("verify.py", "psi_handle"),
+    ]
+    # the memo is keyword-only, so no call passes it by position
+    for fn in (engine._walk, engine.RootFront):
+        param = inspect.signature(fn).parameters["memo"]
+        assert (param.kind, param.default) == (inspect.Parameter.KEYWORD_ONLY, None)
+    # no module-level dict and no function cache in the engine
+    tree = ast.parse((root / "engine.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        value = getattr(node, "value", None)
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and value is not None:
+            called = getattr(getattr(value, "func", None), "id", None)
+            assert not isinstance(value, (ast.Dict, ast.DictComp)), ast.dump(node)
+            assert called not in ("dict", "defaultdict", "OrderedDict"), ast.dump(node)
+    names = {getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+             for node in ast.walk(tree)}
+    assert not names & {"functools", "lru_cache"}
+    held = [name for name, value in vars(engine).items()
+            if not name.startswith("__") and isinstance(value, dict)]
+    assert held == []

@@ -217,7 +217,7 @@ class TestEmptyQuery:
         empty = WindowSet.empty(2)
         root = engine.RootFront(empty, [chain(), ALT], TruncationConfig(1), engine.prune)
         assert root.frame.cells == ()
-        assert root.options == [((0, 0), ())]
+        assert root.options == (((0, 0), ()),)
 
     def test_oracles_give_zero(self):
         empty, cfg = WindowSet.empty(2), TruncationConfig(2, 1, -1)
@@ -300,7 +300,8 @@ class TestPsiHandle:
                             caratheodory_config(depth=2))
         walks = []
         walk = engine._walk
-        monkeypatch.setattr(engine, "_walk", lambda *args: walks.append(1) or walk(*args))
+        monkeypatch.setattr(engine, "_walk",
+                            lambda *args, **kwargs: walks.append(1) or walk(*args, **kwargs))
         for k, s in enumerate([cyl(0, 0), cyl(-1, 1, 0), symbolic.complement(cyl(0, 1, 1))]):
             handle(s)
             assert len(walks) == k + 1

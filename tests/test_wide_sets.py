@@ -187,3 +187,21 @@ def test_tree_cylinder_is_born_with_its_key(n):
                     # over one symbol it is the full space, kept windowless
                     assert (s.canonicalize() is s) == (n > 1)
                     assert key_bits(s) == flat.canonical_key()
+
+
+def test_tree_sets_are_built_through_init(monkeypatch):
+    # perfbench/tracer.py counts symbolic.windowsets_built at WindowSet.__init__
+    built = []
+    init = WindowSet.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(type(self))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(WindowSet, "__init__", counted)
+    s = WindowSet.cylinder(2, 0, (0,) * 20)
+    assert built == [symbolic._TreeSet]
+    assert (s.n, s.window, s._full) == (2, Window(0, 19), False)
+    assert not s.is_degenerate
+    t = symbolic.union(s, WindowSet.cylinder(2, 0, (1,) * 20))
+    assert isinstance(t, symbolic._TreeSet) and len(built) >= 3
