@@ -96,25 +96,20 @@ def example_two(a=DEFAULT_CHAIN, pi0=None, sample_sets=()) -> Report:
             f"value {format_rational(full0)}",
         )
     deviation_bound = max(alpha0 - 1, 1 / lam0 - 1)
-    sandwich_ok = True
-    deviation_ok = True
-    detail = ""
+    outside, deviating = [], []
     for q in sample_sets:
         v = engine.phi_truncated(q, phi, cfg).value
         v0 = engine.phi_truncated(q, phi0, cfg).value
         if not lam0 * v0 <= v <= alpha0 * v0:
-            sandwich_ok = False
-            detail = q.literal()
+            outside.append(q.literal())
         if abs(v0 - v) > deviation_bound:
-            deviation_ok = False
-            detail = q.literal()
-    report.add(
-        f"sandwich holds on {len(list(sample_sets))} sampled sets", sandwich_ok, detail
-    )
+            deviating.append(q.literal())
+    report.expect(f"sandwich holds on {len(list(sample_sets))} sampled sets", outside)
+    bound = f"bound {format_rational(deviation_bound)}"
     report.add(
         "deviation bound max(alpha0-1, 1/lambda0-1) holds on samples",
-        deviation_ok,
-        f"bound {format_rational(deviation_bound)}",
+        not deviating,
+        f"{bound} exceeded on {deviating[-1]}" if deviating else bound,
     )
     # identical start: the two optima coincide and the sandwich is tight
     same = engine.phi_truncated(x, measures.MarkovMeasure(pi, a), cfg).value

@@ -73,6 +73,15 @@ class DecisionTable:
         return takes[k][s]
 
 
+def _shared_table(tables: dict, rho: tuple, a) -> DecisionTable:
+    """The table of ``tables`` for marginal ``rho``, made on first use: one per
+    distinct marginal, so a product or stationary chain keeps one."""
+    table = tables.get(rho)
+    if table is None:
+        table = tables[rho] = DecisionTable(rho, a)
+    return table
+
+
 class CylinderMeasure:
     """Base class: a finitely additive set function on window sets over
     coordinates >= 0, defined through its value on single-word cylinders."""
@@ -114,19 +123,16 @@ class MarkovMeasure(CylinderMeasure):
         # product is taken over integers and reduced once
         self._starts: dict[int, tuple] = {}
         self._steps = tuple(tuple((x.numerator, x.denominator) for x in row) for row in self.a)
-        # one table per distinct marginal, so a chain whose marginal does not
-        # change with the coordinate (a product or stationary one) has one
-        self._tables: dict[tuple[Fraction, ...], DecisionTable] = {}
+        self._at: dict[int, tuple] = {}  # coordinate -> transfer form
+        self._tables: dict[tuple[Fraction, ...], DecisionTable] = {}  # by marginal
 
     def __repr__(self):
         return f"MarkovMeasure(pi={self.pi}, a={self.a})"
 
     def transfer(self, at: int) -> tuple:
-        rho = self._marginal(at)
-        table = self._tables.get(rho)
-        if table is None:
-            table = self._tables[rho] = DecisionTable(rho, self.a)
-        return ((self, table),)
+        if at not in self._at:
+            self._at[at] = ((self, _shared_table(self._tables, self._marginal(at), self.a)),)
+        return self._at[at]
 
     def _marginal(self, lo: int) -> tuple[Fraction, ...]:
         if lo not in self._marginals:
@@ -220,8 +226,7 @@ class CesaroMeasure(CylinderMeasure):
         self.symbols = base.symbols
         self.nonnegative = base.nonnegative
         self._at: dict[int, DecisionTable | None] = {}
-        # one table per distinct averaged marginal, as in MarkovMeasure
-        self._tables: dict[tuple[Fraction, ...], DecisionTable] = {}
+        self._tables: dict[tuple[Fraction, ...], DecisionTable] = {}  # by averaged marginal
 
     def __repr__(self):
         return f"CesaroMeasure({self.base!r}, {self.n})"
@@ -235,9 +240,7 @@ class CesaroMeasure(CylinderMeasure):
             table = None
             if len(tables) == len(forms) and all(t.a == tables[0].a for t in tables):
                 rho = tuple(sum(col, ZERO) / len(tables) for col in zip(*(t.rho for t in tables)))
-                table = self._tables.get(rho)
-                if table is None:
-                    table = self._tables[rho] = DecisionTable(rho, tables[0].a)
+                table = _shared_table(self._tables, rho, tables[0].a)
             self._at[at] = table
         return ((self, self._at[at]),)
 

@@ -10,6 +10,7 @@ sufficient.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -49,6 +50,16 @@ class Report:
 
     def add_verdict(self, name: str, verdict: str, detail: str = ""):
         self.checks.append(Check(name, verdict, detail))
+
+    def expect(self, name: str, failures: Sequence[str]):
+        """PASS when ``failures`` is empty, else FAIL naming the last one:
+        each check collects its own failing cases, so a PASS carries no
+        failure detail and a FAIL names a case of its own."""
+        self.add(name, not failures, failures[-1] if failures else "")
+
+    def include(self, prefix: str, sub: Report):
+        """Copy the checks of ``sub`` here, each named ``"{prefix}: {name}"``."""
+        self.checks += [Check(f"{prefix}: {c.name}", c.verdict, c.detail) for c in sub.checks]
 
     @property
     def failed(self) -> list[Check]:
@@ -299,29 +310,21 @@ def check_outer_measure_axioms(
     n = mu.n
     report = Report(f"outer measure axioms for {mu.label}")
     report.add("vanishes on the empty set", mu(symbolic.WindowSet.empty(n)) == 0)
-    mono = True
-    detail = ""
-    for a in samples:
-        for b in samples:
-            if symbolic.is_subset(a, b) and mu(a) > mu(b):
-                mono = False
-                detail = f"{a.literal()} inside {b.literal()} but {mu(a)} > {mu(b)}"
-    report.add("monotone", mono, detail)
-    subadd = True
-    detail = ""
-    for a in samples:
-        for b in samples:
-            u = symbolic.union(a, b)
-            if mu(u) > mu(a) + mu(b):
-                subadd = False
-                detail = f"{a.literal()} | {b.literal()}"
+    report.expect("monotone", [
+        f"{a.literal()} inside {b.literal()} but {mu(a)} > {mu(b)}"
+        for a in samples for b in samples
+        if symbolic.is_subset(a, b) and mu(a) > mu(b)
+    ])
+    failures = [
+        f"{a.literal()} | {b.literal()}"
+        for a in samples for b in samples
+        if mu(symbolic.union(a, b)) > mu(a) + mu(b)
+    ]
     for k in range(0, len(samples) - 2):
         family = samples[k : k + 3]
-        u = symbolic.union_all(n, family)
-        if mu(u) > sum(mu(s) for s in family):
-            subadd = False
-            detail = "triple family at offset %d" % k
-    report.add("finitely subadditive", subadd, detail)
+        if mu(symbolic.union_all(n, family)) > sum(mu(s) for s in family):
+            failures.append("triple family at offset %d" % k)
+    report.expect("finitely subadditive", failures)
     return report
 
 
@@ -453,26 +456,19 @@ def check_approximation(
                 if x is not y and symbolic.meets(x, y):
                     raise RejectedInputError("family members must be disjoint")
         u = symbolic.union_all(n, family)
+        matched = False
         for t_union, handle_union in spec.family:
-            parts = []
-            feasible = True
-            for k, part in enumerate(family, start=1):
-                t_part = t_union / Fraction(2 ** k) / 2  # eps 2^-k with eps = t/2
-                h = spec.exact(t_part)
-                if h is None:
-                    feasible = False
-                    break
-                parts.append(h(part))
-            if not feasible:
+            # the part k handle sits at eps 2^-k with eps = t/2
+            handles = [
+                spec.exact(t_union / Fraction(2 ** k) / 2) for k in range(1, len(family) + 1)
+            ]
+            if any(h is None for h in handles):
                 continue
-            if handle_union(u) > sum(parts):
+            matched = True
+            if handle_union(u) > sum(h(part) for h, part in zip(handles, family)):
                 verdict = FAIL
                 detail = f"family union {u.literal()} at index {t_union}"
-        if verdict == PASS and not any(
-            all(spec.exact(t / Fraction(2 ** k) / 2) is not None
-                for k in range(1, len(family) + 1))
-            for t, _ in spec.family
-        ):
+        if verdict == PASS and not matched:
             verdict = INCONCLUSIVE
             detail = "no matched grid indices for the family"
     report.add_verdict("(iii) subadditive on disjoint families", verdict, detail)
@@ -535,28 +531,17 @@ def check_consistency(
     leave the truncated optimum unchanged on cylinder samples, at slack 1/2.
     """
     report = Report("consistency of the shifted family")
-    consistent = True
-    detail = ""
-    for a in samples:
-        if a.is_degenerate:
-            continue
-        top = min(0, int(a.min_coordinate()))
-        for m in range(top, -depth, -1):
-            left = measures.eval_shifted(phi, m, a)
-            right = measures.eval_shifted(phi, m - 1, a)
-            if left != right:
-                consistent = False
-                detail = f"grades {m} and {m - 1} disagree on {a.literal()}"
-                break
-        if not consistent:
-            break
-    report.add_verdict(
-        "adjacent grades agree", PASS if consistent else FAIL, detail
-    )
-    if not consistent:
+    # the scan stops at the first disagreement
+    disagreement = list(itertools.islice((
+        f"grades {m} and {m - 1} disagree on {a.literal()}"
+        for a in samples if not a.is_degenerate
+        for m in range(min(0, int(a.min_coordinate())), -depth, -1)
+        if measures.eval_shifted(phi, m, a) != measures.eval_shifted(phi, m - 1, a)
+    ), 1))
+    report.expect("adjacent grades agree", disagreement)
+    if disagreement:
         return report
-    ok = True
-    detail = ""
+    failures = []
     for cfg in grid:
         for a in samples:
             if a.is_degenerate or a.min_coordinate() < 0:
@@ -564,12 +549,10 @@ def check_consistency(
             direct = measures.eval0(phi, a)
             value = engine.phi_truncated(a, phi, cfg).value
             if value != direct:
-                ok = False
-                detail = f"{a.literal()} at {cfg}: {value} != {direct}"
-    report.add("truncated optimum equals the direct value", ok, detail)
+                failures.append(f"{a.literal()} at {cfg}: {value} != {direct}")
+    report.expect("truncated optimum equals the direct value", failures)
     if prepend is not None:
-        ok = True
-        detail = ""
+        failures = []
         for cfg in grid or (TruncationConfig(depth),):
             for a in samples:
                 if a.is_degenerate or a.min_coordinate() < 0:
@@ -580,7 +563,6 @@ def check_consistency(
                     BudgetedProblem(a, phi, ((prepend, budget),), cfg)
                 ).value
                 if chained != plain:
-                    ok = False
-                    detail = f"{a.literal()} at {cfg}: {chained} != {plain}"
-        report.add("prefixed consistent chain leaves the optimum unchanged", ok, detail)
+                    failures.append(f"{a.literal()} at {cfg}: {chained} != {plain}")
+        report.expect("prefixed consistent chain leaves the optimum unchanged", failures)
     return report

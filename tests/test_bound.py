@@ -107,6 +107,19 @@ class TestDecisionTables:
         assert tables[0].rho != tables[1].rho
         assert UNIFORM_CHAIN.transfer(1)[0][1] is tables[1]
 
+    def test_chain_tables_are_looked_up_per_coordinate(self, monkeypatch):
+        # a repeated coordinate neither recomputes nor hashes its marginal
+        for mu in (measures.MarkovMeasure((F(1, 2), F(1, 2)), CHAIN_A),
+                   measures.BernoulliMeasure((F(1, 3), F(2, 3)))):
+            tables = [mu.transfer(at)[0][1] for at in range(3)]
+
+            def marginal(lo):
+                raise AssertionError(f"marginal at {lo} read again")
+
+            monkeypatch.setattr(mu, "_marginal", marginal)
+            assert [mu.transfer(at)[0][1] for at in range(3)] == tables
+            assert all(mu.transfer(at)[0][1] is t for at, t in enumerate(tables))
+
     def test_cesaro_tables_are_kept_per_averaged_marginal(self):
         # the average of a product measure's marginals is one vector
         avg = measures.cesaro(measures.BernoulliMeasure((F(1, 3), F(2, 3))), 2)

@@ -181,3 +181,20 @@ def test_node_fronts_are_shared_only_by_their_owners():
     held = [name for name, value in vars(engine).items()
             if not name.startswith("__") and isinstance(value, dict)]
     assert held == []
+
+
+def test_suites_keep_no_hand_rolled_verdicts():
+    """A suite check collects its own failing cases and hands them to
+    ``Report.expect``; a flag and a ``detail`` shared across checks let a
+    FAIL name another check's case and a PASS carry one."""
+    root = Path(ddmlab.__file__).parent
+    found = []
+    for module in ("suites.py", "examples.py"):
+        tree = ast.parse((root / module).read_text(encoding="utf-8"))
+        found += [
+            f"{module}:{node.lineno} {node.id}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+            and (node.id in ("ok", "detail") or node.id.endswith("_ok"))
+        ]
+    assert found == []
