@@ -23,10 +23,9 @@ node's cylinder is built only when the walk reaches it, and a long one is a
 tree-form window set (module ``symbolic``), so the bitset cap bites on the
 cell listing, not on the depth.  Every node of a tree is
 priced at one coordinate, which lets a full subtree be bounded: when every
-cost component is either 0 at the node or made of parts that take the node
-whole in their transfer operator's decision table
-(:class:`measures.DecisionTable`) or price it at 0, taking the node attains
-the subtree's optimum and its children are not expanded.  A node of any
+cost component is either 0 at the node or answers
+:meth:`measures.CylinderMeasure.takes` true, taking the node attains the
+subtree's optimum and its children are not expanded.  A node of any
 kind, full or partial, that costs 0 in every component is taken as well,
 since 0 bounds its subtree below.  Take wins ties in every keep rule, so
 the bound changes no value, witness or front.  Components that may be
@@ -187,7 +186,7 @@ class _Walk:
     """
 
     __slots__ = ("n", "comps", "keep", "qlo", "floor_d", "whi", "at", "bounded",
-                 "rules", "count", "memo")
+                 "count", "memo")
 
     def __init__(self, frame: Frame, comps, keep, memo):
         self.n, self.comps, self.keep = frame.n, comps, keep
@@ -195,7 +194,6 @@ class _Walk:
         self.floor_d = frame.floor(-frame.depth)
         self.at = frame.floor0 - frame.base_shift  # the coordinate every node is read at
         self.bounded = all(mu.nonnegative for mu in comps)  # a signed walk is never bounded
-        self.rules = None  # per component, set up at the first full node that may split
         self.count = 0
         self.memo = None if memo is None else memo.setdefault((self.at, self.floor_d), {})
 
@@ -220,9 +218,7 @@ class _Walk:
         k = floor - self.floor_d  # levels below the node
         stop = not k
         if not stop and self.bounded:
-            if full and self.rules is None:
-                self.rules = _bound_rules(self.comps, at)
-            stop = _take_attains(self.rules if full else (), take, word, k, at)
+            stop = _take_attains(self.comps if full else (), take, word, k, at)
         if not stop:
             if full:
                 fronts = [self.node((symbol,) + word, None, floor - 1) for symbol in range(n)]
@@ -269,40 +265,18 @@ def _walk(frame: Frame, comps, keep, *, memo=None):
     ))
 
 
-def _bound_rules(comps, at):
-    """Per cost component, its Markov-form decision tables and its other
-    parts, for words read at coordinate ``at``."""
-    rules = []
-    for mu in comps:
-        parts = mu.transfer(at)
-        rules.append((
-            [table for _, table in parts if table is not None],
-            [part for part, table in parts if table is None],
-        ))
-    return rules
-
-
-def _take_attains(rules, take, word, k, at):
+def _take_attains(comps, take, word, k, at):
     """Whether taking a node with k levels below it, priced by nonnegative
     components, attains its subtree's optimum in every component.  Any node
     does when it costs 0 in all of them, for 0 bounds its subtree below.  A
-    full node, given the ``rules`` of its components, also does when each
-    component is 0 at the node, or each of its Markov-form parts takes the
-    node in its decision table and each other part prices the node at 0."""
+    full node, given its ``comps``, also does when each component is 0 at
+    the node or answers :meth:`measures.CylinderMeasure.takes` true; a
+    partial node, given none, does not."""
     if not any(take):
         return True
-    if not rules:  # a partial node, whose subtree no table describes
+    if not comps:  # a partial node, whose subtree no measure describes
         return False
-    for value, (tables, others) in zip(take, rules):
-        if not value:
-            continue
-        if not tables:  # a positive value from parts with no table
-            return False
-        if not all(table.takes(word[0], k) for table in tables):
-            return False
-        if any(part.cell_value(at, word) for part in others):
-            return False
-    return True
+    return all(mu.takes(at, word, k) for value, mu in zip(take, comps) if value)
 
 
 def _taken(trace):

@@ -14,8 +14,8 @@ there as rho[w0] * prod a[wk][wk+1], with one fixed vector and matrix.  The
 take-or-split walk prices all nodes of a tree at one coordinate, so in a
 subtree holding every left extension of a node's word the optimum of such a
 measure is known in closed form; :class:`DecisionTable` records when taking
-the node whole attains it, and :meth:`CylinderMeasure.transfer` hands the
-tables of a measure's parts to the walk.
+the node whole attains it, and :meth:`CylinderMeasure.takes` answers that
+for a whole measure, from its :meth:`CylinderMeasure.table` or its parts.
 """
 
 from __future__ import annotations
@@ -92,12 +92,22 @@ class CylinderMeasure:
     def cell_value(self, lo: int, word: tuple[int, ...]) -> Fraction:
         raise NotImplementedError
 
-    def transfer(self, at: int) -> tuple:
-        """The parts of positive weight that this measure sums, for words
-        read at coordinate ``at``, as (part, table) pairs: ``table`` is the
-        part's :class:`DecisionTable` when the part is in Markov form there,
-        else None.  Tables are kept per measure and grown on demand."""
-        return ((self, None),)
+    def table(self, at: int) -> DecisionTable | None:
+        """The measure's :class:`DecisionTable` when it is in Markov form for
+        words read at coordinate ``at``, else None.  Tables are kept per
+        measure and grown on demand."""
+        return None
+
+    def takes(self, at: int, word: tuple[int, ...], k: int) -> bool:
+        """Whether taking a node whose word is read at ``at``, with k levels
+        below it and every left extension of the word among them, attains
+        the optimum of its subtree under this measure: the table's decision,
+        else whether the node prices 0.  Asked only in nonnegative walks; for
+        a signed measure, whose subtree may price below 0, it is wrong."""
+        table = self.table(at)
+        if table is not None:
+            return table.takes(word[0], k)
+        return not self.cell_value(at, word)
 
 
 class MarkovMeasure(CylinderMeasure):
@@ -123,16 +133,17 @@ class MarkovMeasure(CylinderMeasure):
         # product is taken over integers and reduced once
         self._starts: dict[int, tuple] = {}
         self._steps = tuple(tuple((x.numerator, x.denominator) for x in row) for row in self.a)
-        self._at: dict[int, tuple] = {}  # coordinate -> transfer form
+        self._at: dict[int, DecisionTable] = {}  # coordinate -> table
         self._tables: dict[tuple[Fraction, ...], DecisionTable] = {}  # by marginal
 
     def __repr__(self):
         return f"MarkovMeasure(pi={self.pi}, a={self.a})"
 
-    def transfer(self, at: int) -> tuple:
-        if at not in self._at:
-            self._at[at] = ((self, _shared_table(self._tables, self._marginal(at), self.a)),)
-        return self._at[at]
+    def table(self, at: int) -> DecisionTable:
+        table = self._at.get(at)
+        if table is None:
+            table = self._at[at] = _shared_table(self._tables, self._marginal(at), self.a)
+        return table
 
     def _marginal(self, lo: int) -> tuple[Fraction, ...]:
         if lo not in self._marginals:
@@ -231,18 +242,17 @@ class CesaroMeasure(CylinderMeasure):
     def __repr__(self):
         return f"CesaroMeasure({self.base!r}, {self.n})"
 
-    def transfer(self, at: int) -> tuple:
+    def table(self, at: int) -> DecisionTable | None:
         # in Markov form when the base is at each averaged coordinate, with
         # one matrix: rho is then the average of the base's vectors
         if at not in self._at:
-            forms = [self.base.transfer(at + j) for j in range(self.n + 1)]
-            tables = [form[0][1] for form in forms if len(form) == 1 and form[0][1]]
+            tables = [self.base.table(at + j) for j in range(self.n + 1)]
             table = None
-            if len(tables) == len(forms) and all(t.a == tables[0].a for t in tables):
+            if all(tables) and all(t.a == tables[0].a for t in tables):
                 rho = tuple(sum(col, ZERO) / len(tables) for col in zip(*(t.rho for t in tables)))
                 table = _shared_table(self._tables, rho, tables[0].a)
             self._at[at] = table
-        return ((self, self._at[at]),)
+        return self._at[at]
 
     def cell_value(self, lo: int, word: tuple[int, ...]) -> Fraction:
         total = sum((self.base.cell_value(lo + j, word) for j in range(self.n + 1)), ZERO)
@@ -268,10 +278,13 @@ class ConvexMeasure(CylinderMeasure):
     def __repr__(self):
         return f"ConvexMeasure({self.weights}, {self.parts})"
 
-    def transfer(self, at: int) -> tuple:
-        return tuple(
-            pair for w, part in zip(self.weights, self.parts) if w for pair in part.transfer(at)
-        )
+    def table(self, at: int) -> DecisionTable | None:
+        parts = [part for w, part in zip(self.weights, self.parts) if w]
+        return parts[0].table(at) if len(parts) == 1 else None  # a lone part has weight 1
+
+    def takes(self, at: int, word: tuple[int, ...], k: int) -> bool:
+        # the minimum of a sum is at least the sum of the parts' minimums
+        return all(part.takes(at, word, k) for w, part in zip(self.weights, self.parts) if w)
 
     def cell_value(self, lo: int, word: tuple[int, ...]) -> Fraction:
         total = ZERO

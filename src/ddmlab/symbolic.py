@@ -377,33 +377,17 @@ def _canonical_key(n: int, window: Window | None, bits: int, full: bool):
     return (lo, hi, bits)
 
 
-_RUN_BYTES = 1024  # a block of a wide bitset holds 8 * _RUN_BYTES runs
-
-
 def _without_last_digit(n: int, bits: int, size: int) -> int | None:
     """The bitset of ``size`` ranks with its last digit dropped, when that
     digit is redundant, else None.  The digit is redundant iff every n-run
     of ranks is all-or-none, that is iff the runs' lowest bits, each spread
     over its run, give the bitset back; one bit per run is then kept, every
-    n-th digit of the padded binary form.  A bitset wider than a block is
-    read a block at a time, so no temporary is much wider than a block."""
-    width = min(size, 8 * n * _RUN_BYTES)  # bits per block, whole runs
-    lowest = ((1 << width) - 1) // ((1 << n) - 1)  # the lowest bit of every run
-    if width == size:
-        blocks = [bits]
-    else:
-        data = bits.to_bytes(-(-size // 8), "little")
-        step = width // 8
-        blocks = (int.from_bytes(data[k : k + step], "little") for k in range(0, len(data), step))
-    kept = []
-    for block in blocks:
-        firsts = block & lowest
-        if (firsts << n) - firsts != block:
-            return None
-        kept.append(int(format(firsts, f"0{width}b")[n - 1 :: n], 2))
-    if len(kept) == 1:
-        return kept[0]
-    return int.from_bytes(b"".join(k.to_bytes(_RUN_BYTES, "little") for k in kept), "little")
+    n-th digit of the padded binary form."""
+    lowest = ((1 << size) - 1) // ((1 << n) - 1)  # the lowest bit of every run
+    firsts = bits & lowest
+    if (firsts << n) - firsts != bits:
+        return None
+    return int(format(firsts, f"0{size}b")[n - 1 :: n], 2)
 
 
 # -- wide sets ---------------------------------------------------------

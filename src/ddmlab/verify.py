@@ -48,14 +48,15 @@ class Report:
     def add(self, name: str, ok: bool, detail: str = ""):
         self.checks.append(Check(name, PASS if ok else FAIL, detail))
 
-    def add_verdict(self, name: str, verdict: str, detail: str = ""):
-        self.checks.append(Check(name, verdict, detail))
-
-    def expect(self, name: str, failures: Sequence[str]):
-        """PASS when ``failures`` is empty, else FAIL naming the last one:
-        each check collects its own failing cases, so a PASS carries no
-        failure detail and a FAIL names a case of its own."""
-        self.add(name, not failures, failures[-1] if failures else "")
+    def expect(self, name: str, failures: Sequence[str], inconclusive: Sequence[str] = ()):
+        """FAIL naming the last of ``failures``, else INCONCLUSIVE naming the
+        last of ``inconclusive``, else PASS: each check collects its own
+        cases, so a PASS carries no detail and a verdict names a case of its
+        own check."""
+        for verdict, cases in ((FAIL, failures), (INCONCLUSIVE, inconclusive), (PASS, ("",))):
+            if cases:
+                self.checks.append(Check(name, verdict, cases[-1]))
+                return
 
     def include(self, prefix: str, sub: Report):
         """Copy the checks of ``sub`` here, each named ``"{prefix}: {name}"``."""
@@ -433,22 +434,19 @@ def check_approximation(
             )
     limit = spec.limit_surrogate()
     report.add("(i) vanishes on the empty set", limit(symbolic.WindowSet.empty(n)) == 0)
-    verdict = PASS
-    detail = ""
+    one_sided = []
     for a, b in pairs:
         if not symbolic.is_subset(a, b):
             raise RejectedInputError("pairs must be nested")
         t = spec.f(spec.nu(symbolic.difference(b, a))) + spec.t_min
         t_grid, handle = spec.at_or_below(t)
         if handle(a) > limit(b):
-            verdict = INCONCLUSIVE
-            detail = (
+            one_sided.append(
                 f"sufficient check failed at A={a.literal()} B={b.literal()} "
                 f"(grid index {t_grid})"
             )
-    report.add_verdict("(ii) discounted domination", verdict, detail)
-    verdict = PASS
-    detail = ""
+    report.expect("(ii) discounted domination", [], one_sided)
+    failures, unmatched = [], []
     for family in disjoint_families:
         family = list(family)
         for x in family:
@@ -466,12 +464,10 @@ def check_approximation(
                 continue
             matched = True
             if handle_union(u) > sum(h(part) for h, part in zip(handles, family)):
-                verdict = FAIL
-                detail = f"family union {u.literal()} at index {t_union}"
-        if verdict == PASS and not matched:
-            verdict = INCONCLUSIVE
-            detail = "no matched grid indices for the family"
-    report.add_verdict("(iii) subadditive on disjoint families", verdict, detail)
+                failures.append(f"family union {u.literal()} at index {t_union}")
+        if not matched:
+            unmatched.append("no matched grid indices for the family")
+    report.expect("(iii) subadditive on disjoint families", failures, unmatched)
     return report
 
 

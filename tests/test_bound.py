@@ -75,7 +75,7 @@ class TestDecisionTables:
         mu = markov_form_measures()[name]
         for base_graded, at in ((False, 0), (True, 1)):
             solve = engine.phi_paren_truncated if base_graded else engine.phi_truncated
-            [(_, table)] = mu.transfer(at)
+            table = mu.table(at)
             for s, t in ((0, 1), (1, 1)):
                 q = cyl(0, s, t)
                 transition = table.a[s][t]
@@ -88,51 +88,68 @@ class TestDecisionTables:
                     assert solve(q, mu, cfg).value == tree
 
     def test_convex_mix_answers_with_its_parts(self):
+        # at coordinate 0 the point mass at 0101... prices (0,) at 1 and (1,)
+        # at 0; the uniform product measure takes every full node
         point = measures.DiracMeasure(2, (0, 1))
-        mix = measures.ConvexMeasure((F(1, 2), F(1, 2), F(0)),
-                                     (UNIFORM_CHAIN, point, measures.BernoulliMeasure((1, 0))))
-        parts = mix.transfer(0)
-        assert [part for part, _ in parts] == [UNIFORM_CHAIN, point]
-        assert parts[0][1] is UNIFORM_CHAIN.transfer(0)[0][1]  # kept per measure
-        assert parts[1][1] is None
+        product = measures.BernoulliMeasure((F(1, 2), F(1, 2)))
+        assert product.takes(0, (0,), 3) and product.takes(0, (1,), 3)
+        assert point.takes(0, (1,), 1) and not point.takes(0, (0,), 1)
+        assert UNIFORM_CHAIN.takes(0, (1,), 1) and not UNIFORM_CHAIN.takes(0, (0,), 1)
+        # a zero-weight part is skipped, and a lone part of positive weight
+        # lends its table, to a Cesàro average too
+        assert measures.ConvexMeasure((F(1), F(0)), (product, point)).takes(0, (0,), 1)
+        lone = measures.ConvexMeasure((F(1), F(0)), (UNIFORM_CHAIN, point))
+        assert lone.table(1) is UNIFORM_CHAIN.table(1)
+        averaged = measures.cesaro(UNIFORM_CHAIN, 1).table(0)
+        assert measures.cesaro(lone, 1).table(0).rho == averaged.rho
+        # a point-mass part that prices the node above 0 blocks
+        mix = measures.ConvexMeasure((F(1, 2), F(1, 2)), (product, point))
+        assert mix.takes(0, (1,), 1) and not mix.takes(0, (0,), 1)
+        assert mix.table(0) is None
+        # a convex mix nested in a convex mix composes
+        nested = measures.ConvexMeasure((F(1, 3), F(2, 3)), (mix, product))
+        assert nested.takes(0, (1,), 5) and not nested.takes(0, (0,), 5)
+        inner = measures.ConvexMeasure((F(1, 2), F(1, 2)), (product, product))
+        nested = measures.ConvexMeasure((F(1, 3), F(2, 3)), (inner, UNIFORM_CHAIN))
+        assert nested.takes(0, (1,), 1) and not nested.takes(0, (0,), 1)
 
     def test_one_table_per_distinct_marginal(self):
         # a product or stationary chain reads the same marginal everywhere
         for mu in (measures.BernoulliMeasure((F(1, 3), F(2, 3))),
                    measures.stationary_markov(CHAIN_A)):
-            assert mu.transfer(0)[0][1] is mu.transfer(3)[0][1]
+            assert mu.table(0) is mu.table(3)
         # a chain started off its stationary vector does not
-        tables = [UNIFORM_CHAIN.transfer(at)[0][1] for at in range(3)]
+        tables = [UNIFORM_CHAIN.table(at) for at in range(3)]
         assert len({id(table) for table in tables}) == 3
         assert tables[0].rho != tables[1].rho
-        assert UNIFORM_CHAIN.transfer(1)[0][1] is tables[1]
+        assert UNIFORM_CHAIN.table(1) is tables[1]
 
     def test_chain_tables_are_looked_up_per_coordinate(self, monkeypatch):
         # a repeated coordinate neither recomputes nor hashes its marginal
         for mu in (measures.MarkovMeasure((F(1, 2), F(1, 2)), CHAIN_A),
                    measures.BernoulliMeasure((F(1, 3), F(2, 3)))):
-            tables = [mu.transfer(at)[0][1] for at in range(3)]
+            tables = [mu.table(at) for at in range(3)]
 
             def marginal(lo):
                 raise AssertionError(f"marginal at {lo} read again")
 
             monkeypatch.setattr(mu, "_marginal", marginal)
-            assert [mu.transfer(at)[0][1] for at in range(3)] == tables
-            assert all(mu.transfer(at)[0][1] is t for at, t in enumerate(tables))
+            assert [mu.table(at) for at in range(3)] == tables
+            assert all(mu.table(at) is t for at, t in enumerate(tables))
 
     def test_cesaro_tables_are_kept_per_averaged_marginal(self):
         # the average of a product measure's marginals is one vector
         avg = measures.cesaro(measures.BernoulliMeasure((F(1, 3), F(2, 3))), 2)
-        assert avg.transfer(0)[0][1] is avg.transfer(3)[0][1]
+        assert avg.table(0) is avg.table(3)
         # a chain started off its stationary vector averages new ones
         avg = measures.cesaro(UNIFORM_CHAIN, 1)
-        tables = [avg.transfer(at)[0][1] for at in range(3)]
+        tables = [avg.table(at) for at in range(3)]
         assert len({table.rho for table in tables}) == 3
-        assert avg.transfer(1)[0][1] is tables[1]
+        assert avg.table(1) is tables[1]
 
     def test_cesaro_of_a_point_mass_has_no_table(self):
         avg = measures.cesaro(measures.DiracMeasure(2, (0, 1)), 2)
-        assert avg.transfer(0) == ((avg, None),)
+        assert avg.table(0) is None
 
 
 class TestFullSubtreeGuard:
@@ -238,7 +255,8 @@ class TestLazyFrame:
 # -- bounded walk against the unbounded walk and the oracles ---------------
 
 
-KINDS = ("dirac", "markov", "bernoulli", "cesaro", "convex", "stationary", "cesaro of markov")
+KINDS = ("dirac", "markov", "bernoulli", "cesaro", "convex", "stationary", "cesaro of markov",
+         "convex of convex", "convex with a Cesàro of a chain")
 
 
 def draw_measure(rng, kind):
@@ -249,6 +267,12 @@ def draw_measure(rng, kind):
         return measures.stationary_markov(suites.random_stochastic_matrix(rng, 2))
     if kind == "cesaro of markov":
         return measures.cesaro(suites.random_measure(rng, 2, "markov"), rng.randint(1, 2))
+    if kind == "convex of convex":
+        return measures.ConvexMeasure((F(1, 3), F(2, 3)), (suites.random_measure(rng, 2, "convex"),
+                                                           draw_measure(rng, "markov")))
+    if kind == "convex with a Cesàro of a chain":
+        return measures.ConvexMeasure((F(1, 4), F(3, 4)), (draw_measure(rng, "cesaro of markov"),
+                                                           draw_measure(rng, "bernoulli")))
     return suites.random_measure(rng, 2, kind)
 
 

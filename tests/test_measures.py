@@ -207,8 +207,7 @@ class TestBernoulliIsAMarkovChain:
             single = measures.DecisionTable(p, (p,) * n)
             mu = BernoulliMeasure(p)
             for at in range(4):
-                ((part, table),) = mu.transfer(at)
-                assert part is mu
+                table = mu.table(at)
                 for k in range(7):
                     for s in range(n):
                         assert table.takes(s, k) == single.takes(s, k)
@@ -224,7 +223,7 @@ class TestBernoulliIsAMarkovChain:
 
     def test_pricing_and_tables_come_from_the_chain(self):
         assert issubclass(BernoulliMeasure, MarkovMeasure)
-        assert not {"cell_value", "transfer"} & set(BernoulliMeasure.__dict__)
+        assert not {"cell_value", "table"} & set(BernoulliMeasure.__dict__)
 
 
 def test_signed_difference_linearity():

@@ -95,9 +95,9 @@ def test_canonical_key_matches_the_run_by_run_reference(raw):
 @given(st.sampled_from([2, 3]), st.integers(1, 3), st.integers(0, 2 ** 27 - 1),
        st.integers(0, 4), st.booleans())
 def test_wide_sets_trim_block_by_block(n, span, seed, extra, flip):
-    # a set refined by free right digits past one block (8 * 1024 runs) has
-    # the canonical key of the set it was refined from; one more rank makes
-    # the last digit matter
+    # a set refined by free right digits to more than 8 * 1024 runs has the
+    # canonical key of the set it was refined from; one more rank makes the
+    # last digit matter
     cells = n ** span
     inner = seed % (1 << cells) or 1
     right = (15 if n == 2 else 10) - span + extra

@@ -32,12 +32,23 @@ class TestExpect:
         assert report.checks == [Check("holds", FAIL, "case 9: c")]
         assert not report.ok
 
+    def test_inconclusive_cases_name_the_last_one(self):
+        report = Report("r")
+        report.expect("holds", [], ["index 1 off the grid", "index 2 off the grid"])
+        assert report.checks == [Check("holds", INCONCLUSIVE, "index 2 off the grid")]
+        assert report.ok and report.inconclusive == report.checks
+
+    def test_a_failure_outranks_inconclusive_cases(self):
+        report = Report("r")
+        report.expect("holds", ["case 3: a"], ["index 1 off the grid"])
+        assert report.checks == [Check("holds", FAIL, "case 3: a")]
+
 
 class TestInclude:
     def test_checks_are_copied_under_the_prefix(self):
         sub = Report("sub")
         sub.expect("first", [])
-        sub.add_verdict("second", INCONCLUSIVE, "one-sided")
+        sub.expect("second", [], ["one-sided"])
         sub.expect("third", ["x"])
         report = Report("r")
         report.add("own", True)

@@ -198,3 +198,26 @@ def test_suites_keep_no_hand_rolled_verdicts():
             and (node.id in ("ok", "detail") or node.id.endswith("_ok"))
         ]
     assert found == []
+
+
+def test_each_measure_answers_its_own_bound():
+    """Whether taking a full node attains its subtree optimum is asked of
+    ``CylinderMeasure.takes``: the engine keeps only the full-node guard and
+    knows no decision table, and no measure hands its parts over."""
+    root = Path(ddmlab.__file__).parent
+    found = []
+    engine = ast.parse((root / "engine.py").read_text(encoding="utf-8"))
+    for node in ast.walk(engine):
+        name = getattr(node, "id", None) or getattr(node, "attr", None)
+        if isinstance(node, ast.alias):
+            name = node.name
+        if name in ("transfer", "DecisionTable") or (isinstance(node, ast.Attribute)
+                                                      and name == "table"):
+            found.append(f"engine.py:{node.lineno} {name}")
+    measures = ast.parse((root / "measures.py").read_text(encoding="utf-8"))
+    found += [
+        f"measures.py:{node.lineno} {cls.name}.{node.name}"
+        for cls in measures.body if isinstance(cls, ast.ClassDef)
+        for node in cls.body if isinstance(node, ast.FunctionDef) and node.name == "transfer"
+    ]
+    assert found == []

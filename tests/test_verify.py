@@ -385,6 +385,29 @@ class TestApproximation:
         with pytest.raises(RejectedInputError):
             check_approximation(bad, [], [], samples=[WindowSet.full_space(2)])
 
+    def test_each_family_keeps_its_own_verdict(self):
+        # a three-member family needs the indices t/4, t/8 and t/16, none of
+        # which the grid holds for any t; the two-member one is matched at
+        # t = 1, where a union of nonempty sets costs 1 and its parts 1/4 each
+        bern = BernoulliMeasure((F(1, 2), F(1, 2)))
+        nonempty = SetFunctionHandle("nonempty", lambda s: F(0) if s.is_empty else F(1), 2)
+        handles = ((F(1), nonempty),) + tuple(
+            (t, measure_handle(f"t={t}", bern)) for t in (F(1, 4), F(1, 8))
+        )
+        spec = ApproxFamilySpec(handles, SetFunctionHandle("z", lambda s: F(0), 2))
+        unmatched = [cyl(0, 0, 0), cyl(0, 0, 1), cyl(0, 1)]
+        failing = [cyl(0, 0, 0), cyl(0, 1, 1)]
+        union = symbolic.union_all(2, failing).literal()
+        name = "(iii) subadditive on disjoint families"
+        for families in ([unmatched, failing], [failing, unmatched]):
+            checks = {c.name: c for c in check_approximation(spec, [], families).checks}
+            failed = verify.Check(name, verify.FAIL, f"family union {union} at index 1")
+            assert checks[name] == failed
+        checks = {c.name: c for c in check_approximation(spec, [], [unmatched]).checks}
+        assert checks[name] == verify.Check(
+            name, verify.INCONCLUSIVE, "no matched grid indices for the family"
+        )
+
     def test_nested_pairs_are_required(self):
         mu = chain()
         handles = ((F(1), measure_handle("h", mu)),)
