@@ -37,12 +37,13 @@ component per measure, reduced by a ``keep`` rule: the scalar problem is
 the one-component case that keeps the first cheapest option, and budgeted
 problems (module ``budgeted``) keep the Pareto antichain left by
 :func:`prune`.  Walks whose trees share nodes may share the fronts of full
-nodes and leaves through a memo their caller owns (:class:`_Walk`); the
-engine keeps no cache of its own.  Every optimum's witness is re-validated and re-priced on
-each component through the window-set path, and a mismatch raises
-:class:`CertificateError`.  An independent
-brute-force enumerator over grade labelings of the finest classes is the
-oracle for both problems.
+nodes and leaves through a memo their caller owns (:class:`_Walk`): the
+queries of one phi or psi handle, or the shifts of one psi grid (modules
+``verify`` and ``budgeted``); the engine keeps no cache of its own.  Every
+optimum's witness is re-validated and re-priced on each component through
+the window-set path, and a mismatch raises :class:`CertificateError`.  An
+independent brute-force enumerator over grade labelings of the finest
+classes is the oracle for both problems.
 """
 
 from __future__ import annotations
@@ -367,23 +368,27 @@ def _certificate(root: RootFront, option) -> ValueCertificate:
     return ValueCertificate(vec[0], witness, root.cfg, vec if root.vector else None)
 
 
-def _phi_optimum(q, phi, cfg, base_graded):
+def _phi_optimum(q, phi, cfg, base_graded, *, memo=None):
     if not phi.nonnegative:
         raise RejectedInputError("cover optimization needs a nonnegative measure")
-    return RootFront(q, [phi], cfg, _cheapest, base_graded).certificate(0)
+    return RootFront(q, [phi], cfg, _cheapest, base_graded, memo=memo).certificate(0)
 
 
 def phi_truncated(
     q: symbolic.WindowSet,
     phi: measures.CylinderMeasure,
     cfg: TruncationConfig,
+    *,
+    memo=None,
 ) -> ValueCertificate:
     """Exact minimum cover cost within the truncated class, with witness.
 
     The value is an upper bound for the untruncated infimum and is
-    nonincreasing in both depth and width.
+    nonincreasing in both depth and width.  Solves given one ``memo``,
+    which must share ``phi``, share the fronts of full nodes and leaves
+    (:class:`RootFront`).
     """
-    return _phi_optimum(q, phi, cfg, base_graded=False)
+    return _phi_optimum(q, phi, cfg, base_graded=False, memo=memo)
 
 
 def phi_paren_truncated(

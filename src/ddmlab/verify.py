@@ -107,12 +107,16 @@ def phi_handle(
 ) -> SetFunctionHandle:
     """Truncated cover optimum as a set function at one fixed truncation.
 
-    The config must pin the working window so all queries share one class.
+    The config must pin the working window, so all queries share one class
+    and their walks share one memo of node fronts: a full node or a leaf met
+    by an earlier query is read back, not walked again, and each query's
+    witness is still re-checked (:class:`engine.RootFront`).
     """
     if cfg.window_lo is None or cfg.window_hi is None:
         raise RejectedInputError("handle configs must pin the working window")
+    memo: dict = {}
     return SetFunctionHandle(
-        label, lambda s: engine.phi_truncated(s, phi, cfg).value, phi.symbols
+        label, lambda s: engine.phi_truncated(s, phi, cfg, memo=memo).value, phi.symbols
     )
 
 

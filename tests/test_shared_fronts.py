@@ -4,9 +4,10 @@ Below a full node (floor at or left of the query's canonical left edge)
 every left extension of the word lies in Q, and a leaf has nothing below
 it, so the fronts of both depend on the query only through the coordinate
 the nodes are read at and the deepest floor.  Walks that share a memo reuse
-those fronts: the queries of one ``verify.psi_handle`` and the shifts of one
-``budgeted.psi_eps_grid``.  A partial node's front depends on the cells of
-Q below it and must never be reused; the pair test below is the trap for it.
+those fronts: the queries of one ``verify.phi_handle`` or
+``verify.psi_handle`` and the shifts of one ``budgeted.psi_eps_grid``.  A
+partial node's front depends on the cells of Q below it and must never be
+reused; the pair test below is the trap for it.
 """
 
 import random
@@ -20,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 from ddmlab import budgeted, engine, measures, suites, symbolic
 from ddmlab.covers import TruncationConfig
 from ddmlab.symbolic import WindowSet
-from ddmlab.verify import psi_handle
+from ddmlab.verify import FiniteAlgebra, phi_handle, psi_handle
 
 SETTINGS = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 KINDS = ("dirac", "markov", "bernoulli", "cesaro", "convex")
@@ -40,16 +41,20 @@ def cyl(j, *word):
     return WindowSet.cylinder(2, j, word)
 
 
+def same_certificate(shared, fresh):
+    """Equal certificates and witness literals."""
+    assert shared == fresh
+    assert [(m, e.literal()) for m, e in shared.witness.entries] == [
+        (m, e.literal()) for m, e in fresh.witness.entries
+    ]
+
+
 def same_root(shared, fresh):
     """Equal option vectors and traces, witness literals and certificates."""
     assert type(shared.options) is tuple
     assert shared.options == fresh.options
     for k in range(len(fresh.options)):
-        a, b = shared.certificate(k), fresh.certificate(k)
-        assert a == b
-        assert [(m, e.literal()) for m, e in a.witness.entries] == [
-            (m, e.literal()) for m, e in b.witness.entries
-        ]
+        same_certificate(shared.certificate(k), fresh.certificate(k))
 
 
 @st.composite
@@ -79,6 +84,80 @@ def test_queries_through_one_memo_equal_fresh_walks(instance, base_graded):
             same_root(shared, engine.RootFront(q, parts, cfg, keep, base_graded))
     for memo in memos.values():
         assert all(type(front) is tuple for fronts in memo.values() for front in fronts.values())
+
+
+@st.composite
+def phi_handles(draw):
+    """One nonnegative measure at a pinned config, with two to four queries
+    and every member of the algebra the first two generate."""
+    rng = random.Random(draw(st.integers(0, 2 ** 16)))
+    depth, shift = draw(st.integers(0, 2)), draw(st.sampled_from([0, -1, -2]))
+    cfg = TruncationConfig(depth, 0, shift, window_lo=min(-1, shift - depth), window_hi=2)
+    queries = [
+        suites.random_window_set(rng, 2, lo_range=(-1, 1), max_span=2, allow_degenerate=True)
+        for _ in range(draw(st.integers(2, 4)))
+    ]
+    phi = draw_measure(rng, draw(st.sampled_from(KINDS)))
+    return cfg, queries + FiniteAlgebra(2, queries[:2]).members, phi
+
+
+@SETTINGS
+@given(phi_handles())
+def test_phi_handle_queries_equal_fresh_solves(instance):
+    cfg, queries, phi = instance
+    handle = phi_handle("phi", phi, cfg)
+    memo: dict = {}
+    for s in queries:
+        fresh = engine.phi_truncated(s, phi, cfg)
+        assert handle(s) == fresh.value
+        same_certificate(engine.phi_truncated(s, phi, cfg, memo=memo), fresh)
+
+
+def algebra_split_batch():
+    """The shape of a benchmark batch: three cylinders, two single-symbol
+    ones at coordinates -1 and 0 and a two-symbol one at 0, whose algebra
+    has 64 members, under the depth-0 config of the splitting suite."""
+    algebra = FiniteAlgebra(2, [cyl(-1, 1), cyl(0, 0), cyl(0, 1, 0)])
+    assert len(algebra) == 64
+    return algebra, suites.caratheodory_config(0)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_phi_handle_prices_each_leaf_once(monkeypatch, kind):
+    # at depth 0 every node is a leaf; a fresh solve walks each member's
+    # leaves, the handle's walks price each distinct leaf once, and both
+    # re-check every member's certificate
+    algebra, cfg = algebra_split_batch()
+    phi = suites.random_measure(random.Random(14), 2, kind)
+    handle = phi_handle("phi", phi, cfg)
+    prices = []
+    price = measures.eval_shifted
+    monkeypatch.setattr(measures, "eval_shifted", lambda *args: prices.append(1) or price(*args))
+    counts = []
+    for solve in (handle, lambda s: engine.phi_truncated(s, phi, cfg).value):
+        del prices[:]
+        values = [solve(s) for s in algebra.members]
+        counts.append(len(prices))
+    assert values == [handle(s) for s in algebra.members]
+    frames = [engine.build_frame(s, cfg).cells for s in algebra.members]
+    leaves = {cell for cells in frames for cell in cells}
+    assert len(leaves) == 32
+    walked = sum(map(len, frames))
+    assert counts[1] - counts[0] == walked - len(leaves)
+
+
+def test_phi_handles_of_two_measures_keep_their_own_fronts():
+    # a memo that outlived its handle, or was shared across measures, would
+    # hand one measure's leaf fronts to the other
+    algebra, cfg = algebra_split_batch()
+    phis = [UNIFORM_CHAIN, suites.random_measure(random.Random(9), 2, "bernoulli")]
+    handles = [phi_handle("phi", phi, cfg) for phi in phis]
+    values = [[], []]
+    for s in algebra.members:
+        for k, (handle, phi) in enumerate(zip(handles, phis)):
+            values[k].append(handle(s))
+            assert values[k][-1] == engine.phi_truncated(s, phi, cfg).value
+    assert values[0] != values[1]
 
 
 @st.composite

@@ -142,10 +142,11 @@ def test_public_names_are_classes_and_functions_of_the_package():
 
 
 def test_node_fronts_are_shared_only_by_their_owners():
-    """A memo of node fronts lives in one ``verify.psi_handle`` or one
-    ``budgeted.psi_eps_grid`` call, and ``engine`` keeps none of its own:
-    a cache that outlived its owner would serve repeated solves, such as a
-    benchmark's passes, from memory, and would keep every front alive."""
+    """A memo of node fronts lives in one ``verify.phi_handle``, one
+    ``verify.psi_handle`` or one ``budgeted.psi_eps_grid`` call, and
+    ``engine`` keeps none of its own: a cache that outlived its owner would
+    serve repeated solves, such as a benchmark's passes, from memory, and
+    would keep every front alive."""
     from ddmlab import engine
 
     root = Path(ddmlab.__file__).parent
@@ -159,12 +160,15 @@ def test_node_fronts_are_shared_only_by_their_owners():
             for node in ast.walk(scope):
                 if isinstance(node, ast.Call) and any(k.arg == "memo" for k in node.keywords):
                     owners.append((path.name, scope.name))
-    # RootFront.__init__ hands its own parameter to the walk
+    # RootFront.__init__ hands its own parameter to the walk, and
+    # phi_truncated through _phi_optimum to RootFront
     assert sorted(set(owners)) == [
-        ("budgeted.py", "psi_eps_grid"), ("engine.py", "__init__"), ("verify.py", "psi_handle"),
+        ("budgeted.py", "psi_eps_grid"), ("engine.py", "__init__"),
+        ("engine.py", "_phi_optimum"), ("engine.py", "phi_truncated"),
+        ("verify.py", "phi_handle"), ("verify.py", "psi_handle"),
     ]
     # the memo is keyword-only, so no call passes it by position
-    for fn in (engine._walk, engine.RootFront):
+    for fn in (engine._walk, engine.RootFront, engine._phi_optimum, engine.phi_truncated):
         param = inspect.signature(fn).parameters["memo"]
         assert (param.kind, param.default) == (inspect.Parameter.KEYWORD_ONLY, None)
     # no module-level dict and no function cache in the engine
