@@ -104,10 +104,7 @@ def is_valid_cover(q: symbolic.WindowSet, c: Cover) -> bool:
 def cover_cost(c: Cover, phi: measures.CylinderMeasure) -> Fraction:
     """Sum of the shifted measure values over the entries."""
     base = c.pricing_base
-    total = Fraction(0)
-    for m, a in c.entries:
-        total += measures.eval_shifted(phi, m + base, a)
-    return total
+    return measures.exact_sum(measures.eval_shifted(phi, m + base, a) for m, a in c.entries)
 
 
 def disjointify(c: Cover) -> Cover:

@@ -36,14 +36,15 @@ Each node returns a front of (cost vector, trace) options, one cost
 component per measure, reduced by a ``keep`` rule: the scalar problem is
 the one-component case that keeps the first cheapest option, and budgeted
 problems (module ``budgeted``) keep the Pareto antichain left by
-:func:`prune`.  Walks whose trees share nodes may share the fronts of full
-nodes and leaves through a memo their caller owns (:class:`_Walk`): the
-queries of one phi or psi handle, or the shifts of one psi grid (modules
-``verify`` and ``budgeted``); the engine keeps no cache of its own.  Every
-optimum's witness is re-validated and re-priced on each component through
-the window-set path, and a mismatch raises :class:`CertificateError`.  An
-independent brute-force enumerator over grade labelings of the finest
-classes is the oracle for both problems.
+:func:`prune`.  Costs are integer numerators, one denominator per
+component, made rationals only at the root.  Walks whose trees share nodes
+may share the fronts of full nodes and leaves through a memo their caller
+owns (:class:`_Walk`): the queries of one phi or psi handle, or the shifts
+of one psi grid (modules ``verify`` and ``budgeted``); the engine keeps no
+cache of its own.  Every optimum's witness is re-validated and re-priced on
+each component through the window-set path, and a mismatch raises
+:class:`CertificateError`.  An independent brute-force enumerator over
+grade labelings of the finest classes is the oracle for both problems.
 """
 
 from __future__ import annotations
@@ -176,17 +177,19 @@ class _Walk:
     """One take-or-split walk.  The recursion is a method, so a finished
     walk leaves no reference cycle for the collector to find.
 
-    A node is the pair (floor, word) of its absolute grading floor and its
-    word on [floor, whi].  Below a full node every left extension of the
-    word lies in Q, and a leaf has nothing below it, so the front of either
-    depends on the query only through the coordinate ``at`` every node is
-    read at and the deepest floor.  Those fronts are kept, as tuples, in the
-    caller's ``memo`` under (at, floor_d) and then (floor, word), and a walk
-    that meets the node again reads them back.  A partial node's front
-    depends on the cells of Q below it and is never kept.
+    A node is the pair (floor, rank) of its absolute grading floor and the
+    rank of its word on [floor, whi], and a cost an integer numerator over
+    its component's ``dens`` entry, which every price of the walk divides.
+    Below a full node every left extension of the word lies in Q, and a
+    leaf has nothing below it, so the front of either depends on the query
+    only through the coordinate ``at`` every node is read at, the deepest
+    floor and the right edge.  Those fronts are kept, as tuples, in the
+    caller's ``memo`` under (at, floor_d, whi, dens), so never at another
+    scale, then under (floor, rank).  A partial node's front depends on the
+    cells of Q below it and is never kept.
     """
 
-    __slots__ = ("n", "comps", "keep", "qlo", "floor_d", "whi", "at", "bounded",
+    __slots__ = ("n", "comps", "dens", "keep", "qlo", "floor_d", "whi", "at", "bounded",
                  "count", "memo")
 
     def __init__(self, frame: Frame, comps, keep, memo):
@@ -194,15 +197,18 @@ class _Walk:
         self.qlo, self.whi = frame.qlo, frame.whi  # a node with floor <= qlo is full
         self.floor_d = frame.floor(-frame.depth)
         self.at = frame.floor0 - frame.base_shift  # the coordinate every node is read at
+        symbolic._check_coordinate(self.at)  # as pricing does, before a measure reads it
+        self.dens = tuple([mu.denominator(self.at, self.whi - self.floor_d + 1) for mu in comps])
         self.bounded = all(mu.nonnegative for mu in comps)  # a signed walk is never bounded
         self.count = 0
-        self.memo = None if memo is None else memo.setdefault((self.at, self.floor_d), {})
+        self.memo = None if memo is None else memo.setdefault(
+            (self.at, self.floor_d, self.whi, self.dens), {})
 
-    def node(self, word, cells, floor):
+    def node(self, rank, cells, floor):
         full = floor <= self.qlo
         memo = self.memo if full or floor == self.floor_d else None
         if memo is not None:
-            key = (floor, word)
+            key = (floor, rank)
             front = memo.get(key)
             if front is not None:
                 return front
@@ -211,25 +217,32 @@ class _Walk:
             raise BudgetExceededError(
                 f"refinement tree exceeded the node cap (engine.NODE_CAP = {NODE_CAP})"
             )
-        n, at = self.n, self.at
-        cyl = symbolic.WindowSet.cylinder(n, floor, word)
+        n, at, span = self.n, self.at, self.whi - floor + 1
+        cyl = symbolic.WindowSet.ranked_cylinder(n, floor, span, rank)
         shift = floor - at
-        take = tuple([measures.eval_shifted(mu, shift, cyl) for mu in self.comps])
-        front = [(take, (floor, word))]
+        take = []
+        for mu, d in zip(self.comps, self.dens):
+            price = measures.eval_shifted(mu, shift, cyl)
+            scale, rest = divmod(d, price.denominator)
+            if rest:
+                raise CertificateError(f"{mu!r} prices {price}, finer than its denominator {d}")
+            take.append(price.numerator * scale)
+        take = tuple(take)
+        front = [(take, (floor, rank))]
         k = floor - self.floor_d  # levels below the node
         stop = not k
         if not stop and self.bounded:
-            stop = _take_attains(self.comps if full else (), take, word, k, at)
+            stop = _take_attains(self.comps if full else (), take, k, at, n, span, rank)
         if not stop:
+            place = n ** span  # the weight of a child's new symbol
             if full:
-                fronts = [self.node((symbol,) + word, None, floor - 1) for symbol in range(n)]
+                fronts = [self.node(symbol * place + rank, None, floor - 1) for symbol in range(n)]
             else:
-                place = n ** (self.whi - floor + 1)
                 buckets: dict[int, list] = {}
                 for cell in cells:
                     buckets.setdefault(cell // place % n, []).append(cell)
                 fronts = [
-                    self.node((symbol,) + word, group, floor - 1)
+                    self.node(symbol * place + rank, group, floor - 1)
                     for symbol, group in sorted(buckets.items())
                 ]
             front.extend(_combine(fronts, self.keep))
@@ -244,44 +257,40 @@ def _walk(frame: Frame, comps, keep, *, memo=None):
     as a tuple.
 
     A vector has one component per measure of ``comps``.  A trace is either
-    the pair (floor, word) of a taken node or a pair of traces, whose taken
+    the pair (floor, rank) of a taken node or a pair of traces, whose taken
     nodes together make up a sum of options.  A frame with no cells has the
     single option of the empty cover, at cost 0 in every component.  A
     ``memo`` shared by walks of the same ``comps`` and ``keep`` lets them
     share the fronts of full nodes and leaves (:class:`_Walk`).
     """
-    n = frame.n
-    length = frame.whi - frame.floor0 + 1
-    size = n ** length
+    size = frame.n ** (frame.whi - frame.floor0 + 1)
     roots: dict[int, list] = {}
     for cell in frame.cells:
         roots.setdefault(cell % size, []).append(cell)
     if not roots:
         return (((ZERO,) * len(comps), ()),)
     walk = _Walk(frame, comps, keep, memo)
-    return tuple(_combine(
-        [walk.node(symbolic.rank_word(n, length, r), cells, frame.floor0)
-         for r, cells in sorted(roots.items())],
-        keep,
-    ))
+    front = _combine([walk.node(r, c, frame.floor0) for r, c in sorted(roots.items())], keep)
+    return tuple((tuple(map(Fraction, vec, walk.dens)), trace) for vec, trace in front)
 
 
-def _take_attains(comps, take, word, k, at):
+def _take_attains(comps, take, k, at, n, span, rank):
     """Whether taking a node with k levels below it, priced by nonnegative
     components, attains its subtree's optimum in every component.  Any node
     does when it costs 0 in all of them, for 0 bounds its subtree below.  A
     full node, given its ``comps``, also does when each component is 0 at
-    the node or answers :meth:`measures.CylinderMeasure.takes` true; a
-    partial node, given none, does not."""
+    the node or answers :meth:`measures.CylinderMeasure.takes` true on its
+    word, of ``span`` symbols; a partial node, given none, does not."""
     if not any(take):
         return True
     if not comps:  # a partial node, whose subtree no measure describes
         return False
+    word = symbolic.rank_word(n, span, rank)
     return all(mu.takes(at, word, k) for value, mu in zip(take, comps) if value)
 
 
 def _taken(trace):
-    """The (floor, word) nodes taken in a trace; none in the empty trace."""
+    """The (floor, rank) nodes taken in a trace; none in the empty trace."""
     out = []
     stack = [trace] if trace else []
     while stack:
@@ -340,12 +349,12 @@ class RootFront:
 def _witness(root: RootFront, trace) -> Cover:
     frame = root.frame
     per_floor: dict[int, list] = {}
-    for floor, word in _taken(trace):
-        per_floor.setdefault(floor, []).append(word)
+    for floor, rank in _taken(trace):
+        per_floor.setdefault(floor, []).append(rank)
     entries = []
     for floor in sorted(per_floor, reverse=True):
         window = symbolic.Window(floor, frame.whi)
-        entry = symbolic.WindowSet.from_words(frame.n, window, per_floor[floor]).canonicalize()
+        entry = symbolic.WindowSet.from_ranks(frame.n, window, per_floor[floor]).canonicalize()
         entries.append((floor - frame.floor0, entry))
     if root.base_graded:
         return Cover(tuple(entries), base_shift=0, cost_base=root.cfg.base_shift)

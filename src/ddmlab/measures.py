@@ -2,7 +2,8 @@
 
 Every measure here is an evaluator of cylinders supported on coordinates
 >= 0, extended to finite unions by summing over disjoint word cells.  All
-values are exact rationals; no floating point enters any value path.
+values are exact rationals; no floating point enters any value path, and a
+caller may add them as integers over a :meth:`CylinderMeasure.denominator`.
 
 The graded family attached to a base measure phi is phi_m = phi . S^m for
 m <= 0, evaluated through :func:`eval_shifted`.  Shifted pricing never
@@ -20,6 +21,7 @@ for a whole measure, from its :meth:`CylinderMeasure.table` or its parts.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -92,6 +94,17 @@ class CylinderMeasure:
     def cell_value(self, lo: int, word: tuple[int, ...]) -> Fraction:
         raise NotImplementedError
 
+    def denominator(self, at: int, length: int) -> int:
+        """A multiple of the denominator of every cell value of a word of at
+        most ``length`` symbols read at ``at``, kept once ``_denominator`` made it."""
+        dens = self.__dict__.setdefault("_dens", {})
+        if (at, length) not in dens:
+            dens[(at, length)] = self._denominator(at, length)
+        return dens[(at, length)]
+
+    def _denominator(self, at: int, length: int) -> int:
+        raise NotImplementedError
+
     def table(self, at: int) -> DecisionTable | None:
         """The measure's :class:`DecisionTable` when it is in Markov form for
         words read at coordinate ``at``, else None.  Tables are kept per
@@ -102,12 +115,11 @@ class CylinderMeasure:
         """Whether taking a node whose word is read at ``at``, with k levels
         below it and every left extension of the word among them, attains
         the optimum of its subtree under this measure: the table's decision,
-        else whether the node prices 0.  Asked only in nonnegative walks; for
+        else no.  Asked only in nonnegative walks and at a node this measure
+        prices above 0, for a node priced 0 is taken on that bound alone; for
         a signed measure, whose subtree may price below 0, it is wrong."""
         table = self.table(at)
-        if table is not None:
-            return table.takes(word[0], k)
-        return not self.cell_value(at, word)
+        return table is not None and table.takes(word[0], k)
 
 
 class MarkovMeasure(CylinderMeasure):
@@ -144,6 +156,10 @@ class MarkovMeasure(CylinderMeasure):
         if table is None:
             table = self._at[at] = _shared_table(self._tables, self._marginal(at), self.a)
         return table
+
+    def _denominator(self, at: int, length: int) -> int:
+        start = math.lcm(*(x.denominator for x in self._marginal(at)))
+        return start * math.lcm(*(q for row in self._steps for _, q in row)) ** (length - 1)
 
     def _marginal(self, lo: int) -> tuple[Fraction, ...]:
         if lo not in self._marginals:
@@ -200,6 +216,9 @@ class DiracMeasure(CylinderMeasure):
                 return s
         return self.period[j % len(self.period)]
 
+    def _denominator(self, at: int, length: int) -> int:
+        return 1
+
     def cell_value(self, lo: int, word: tuple[int, ...]) -> Fraction:
         for offset, symbol in enumerate(word):
             if self.point_at(lo + offset) != symbol:
@@ -254,8 +273,12 @@ class CesaroMeasure(CylinderMeasure):
             self._at[at] = table
         return self._at[at]
 
+    def _denominator(self, at: int, length: int) -> int:
+        return (self.n + 1) * math.lcm(*(self.base.denominator(at + j, length)
+                                         for j in range(self.n + 1)))
+
     def cell_value(self, lo: int, word: tuple[int, ...]) -> Fraction:
-        total = sum((self.base.cell_value(lo + j, word) for j in range(self.n + 1)), ZERO)
+        total = exact_sum([self.base.cell_value(lo + j, word) for j in range(self.n + 1)])
         return total / (self.n + 1)
 
 
@@ -283,16 +306,19 @@ class ConvexMeasure(CylinderMeasure):
         return parts[0].table(at) if len(parts) == 1 else None  # a lone part has weight 1
 
     def takes(self, at: int, word: tuple[int, ...], k: int) -> bool:
-        # the minimum of a sum is at least the sum of the parts' minimums
-        return all(part.takes(at, word, k) for w, part in zip(self.weights, self.parts) if w)
+        # the minimum of a sum is at least the sum of the parts' minimums; a
+        # part with no table is priced, and one priced 0 adds 0 at its best
+        return all(part.takes(at, word, k) for w, part in zip(self.weights, self.parts)
+                   if w and (part.table(at) is not None or part.cell_value(at, word)))
+
+    def _denominator(self, at: int, length: int) -> int:
+        return math.lcm(*(w.denominator * part.denominator(at, length)
+                          for w, part in zip(self.weights, self.parts) if w))
 
     def cell_value(self, lo: int, word: tuple[int, ...]) -> Fraction:
-        total = ZERO
-        for w, part in zip(self.weights, self.parts):
-            value = part.cell_value(lo, word)
-            if value:  # a part that misses the cell adds nothing
-                total += w * value
-        return total
+        # a part that misses the cell adds nothing
+        return exact_sum([w * value for w, part in zip(self.weights, self.parts)
+                          if (value := part.cell_value(lo, word))])
 
 
 class SignedDiffMeasure(CylinderMeasure):
@@ -313,6 +339,10 @@ class SignedDiffMeasure(CylinderMeasure):
     def __repr__(self):
         return f"SignedDiffMeasure({self.psi!r}, {self.c}, {self.phi!r})"
 
+    def _denominator(self, at: int, length: int) -> int:
+        return math.lcm(self.psi.denominator(at, length),
+                        self.c.denominator * self.phi.denominator(at, length))
+
     def cell_value(self, lo: int, word: tuple[int, ...]) -> Fraction:
         return self.psi.cell_value(lo, word) - self.c * self.phi.cell_value(lo, word)
 
@@ -322,21 +352,35 @@ def cesaro(mu: CylinderMeasure, n: int) -> CylinderMeasure:
     return CesaroMeasure(mu, n)
 
 
+def exact_sum(values) -> Fraction:
+    """Exact sum of rationals, added as integers over their lcm denominator."""
+    values = list(values)
+    if len(values) == 1:
+        return values[0]
+    d = 1
+    for v in values:
+        d = math.lcm(d, v.denominator)
+    total = 0
+    for v in values:
+        total += v.numerator * (d // v.denominator)
+    return Fraction(total, d)
+
+
 def _cell_sum(mu: CylinderMeasure, n: int, key, m: int) -> Fraction:
     """Sum of the cell values of a canonical key's words, each read m
     coordinates to the right, in rank order."""
     lo, hi, bits = key
     if not isinstance(bits, int):  # a wide set: price its cylinders
-        return sum((mu.cell_value(lo - m, word) for word in symbolic.tree_cells(n, key)), ZERO)
+        return exact_sum(mu.cell_value(lo - m, word) for word in symbolic.tree_cells(n, key))
     at, span = lo - m, hi - lo + 1
     if bits.bit_count() == 1:
         return mu.cell_value(at, symbolic.rank_word(n, span, bits.bit_length() - 1))
-    total = ZERO
+    values = []
     while bits:
         low = bits & -bits
-        total += mu.cell_value(at, symbolic.rank_word(n, span, low.bit_length() - 1))
+        values.append(mu.cell_value(at, symbolic.rank_word(n, span, low.bit_length() - 1)))
         bits ^= low
-    return total
+    return exact_sum(values)
 
 
 def eval0(mu: CylinderMeasure, s: symbolic.WindowSet) -> Fraction:

@@ -155,36 +155,45 @@ class WindowSet:
 
     @classmethod
     def cylinder(cls, n: int, start: int, word: Iterable[int]) -> "WindowSet":
-        """The set of one word on [start, start + len(word) - 1], born with
-        its canonical key: one word has no redundant end coordinate, and
-        over one symbol it is the full space."""
+        """The set of one word on [start, start + len(word) - 1]."""
         word = tuple(word)
-        if not word:
+        return cls.ranked_cylinder(n, start, len(word), word_rank(n, word))
+
+    @classmethod
+    def ranked_cylinder(cls, n: int, start: int, span: int, rank: int) -> "WindowSet":
+        """The set of the word of ``rank`` on [start, start + span - 1], born
+        with its canonical key: one word has no redundant end coordinate,
+        and over one symbol it is the full space."""
+        if span < 1:
             raise RejectedInputError("cylinder needs at least one symbol")
-        end = start + len(word) - 1
-        window = _window(start, end)
-        rank = word_rank(n, word)
-        if n ** len(word) > TREE_CELLS:
-            s = _TreeSet(n, window, _ranks_tree(n, [rank], len(word)))
-            key = (start, end, s.bits)
+        window = _window(start, start + span - 1)
+        if not 0 <= rank < n ** span:
+            raise RejectedInputError(f"rank {rank} outside the words of a {span}-coordinate window")
+        if n ** span > TREE_CELLS:
+            s = _TreeSet(n, window, _ranks_tree(n, [rank], span))
+            key = (start, window.hi, s.bits)
         else:
             bits = 1 << rank
             s = cls(n, window, bits)
-            key = (start, end, bits) if n > 1 else ("full",)
+            key = (start, window.hi, bits) if n > 1 else ("full",)
         object.__setattr__(s, "_key", key)
         return s
 
     @classmethod
     def from_words(cls, n: int, window: Window, words: Iterable[tuple[int, ...]]) -> "WindowSet":
-        span = window.span
-        ranks = []
-        for word in words:
-            word = tuple(word)
-            if len(word) != span:
-                raise RejectedInputError("word length does not match the window span")
-            ranks.append(word_rank(n, word))
-        if n ** span > TREE_CELLS:
-            return _TreeSet(n, window, _ranks_tree(n, list(set(ranks)), span))
+        words = [tuple(word) for word in words]
+        if any(len(word) != window.span for word in words):
+            raise RejectedInputError("word length does not match the window span")
+        return cls.from_ranks(n, window, [word_rank(n, word) for word in words])
+
+    @classmethod
+    def from_ranks(cls, n: int, window: Window, ranks: Iterable[int]) -> "WindowSet":
+        """The set of the words of ``ranks`` on ``window``."""
+        ranks, size = set(ranks), n ** window.span
+        if ranks and (min(ranks) < 0 or max(ranks) >= size):
+            raise RejectedInputError("a rank lies outside the words of the window")
+        if size > TREE_CELLS:
+            return _TreeSet(n, window, _ranks_tree(n, list(ranks), window.span))
         bits = 0
         for r in ranks:
             bits |= 1 << r

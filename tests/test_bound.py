@@ -93,7 +93,12 @@ class TestDecisionTables:
         point = measures.DiracMeasure(2, (0, 1))
         product = measures.BernoulliMeasure((F(1, 2), F(1, 2)))
         assert product.takes(0, (0,), 3) and product.takes(0, (1,), 3)
-        assert point.takes(0, (1,), 1) and not point.takes(0, (0,), 1)
+        # takes is asked only at a positive price, and a measure with no
+        # table answers no; the node (1,) that the point mass prices 0 is
+        # taken by the walk's zero-price stop, inside _take_attains
+        assert not point.takes(0, (0,), 1)
+        assert engine._take_attains([point], (0,), 1, 0, 2, 1, 1)
+        assert not engine._take_attains([point], (1,), 1, 0, 2, 1, 0)
         assert UNIFORM_CHAIN.takes(0, (1,), 1) and not UNIFORM_CHAIN.takes(0, (0,), 1)
         # a zero-weight part is skipped, and a lone part of positive weight
         # lends its table, to a Cesàro average too
@@ -112,6 +117,20 @@ class TestDecisionTables:
         inner = measures.ConvexMeasure((F(1, 2), F(1, 2)), (product, product))
         nested = measures.ConvexMeasure((F(1, 3), F(2, 3)), (inner, UNIFORM_CHAIN))
         assert nested.takes(0, (1,), 1) and not nested.takes(0, (0,), 1)
+
+    def test_a_measure_without_a_table_is_not_priced_again(self, monkeypatch):
+        # takes is asked at a price the walk already holds above 0, so a
+        # point mass answers no unpriced, and a mix prices only such a part
+        point = measures.DiracMeasure(2, (0, 1))
+        mix = measures.ConvexMeasure((F(1, 2), F(1, 2)), (UNIFORM_CHAIN, point))
+        words = []
+        price = measures.DiracMeasure.cell_value
+        monkeypatch.setattr(measures.DiracMeasure, "cell_value",
+                            lambda self, lo, word: words.append(word) or price(self, lo, word))
+        assert not point.takes(0, (0,), 1)
+        assert words == []
+        assert UNIFORM_CHAIN.takes(0, (1,), 1) and mix.takes(0, (1,), 1)
+        assert words == [(1,)]
 
     def test_one_table_per_distinct_marginal(self):
         # a product or stationary chain reads the same marginal everywhere

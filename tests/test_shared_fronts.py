@@ -185,9 +185,10 @@ def test_grid_shifts_through_one_memo_equal_fresh_walks(instance):
 
 
 class TestPartialNodesAreNotShared:
-    # the node (floor 0, word (0, 0)) is full for A, whose canonical window
-    # starts at 0, and partial for B, which holds only its extension by 1 at
-    # coordinate -1; reusing a front across the two would change B's value
+    # the node (floor 0, word (0, 0), of rank 0 on [0, 1]) is full for A,
+    # whose canonical window starts at 0, and partial for B, which holds only
+    # its extension by 1 at coordinate -1; reusing a front across the two
+    # would change B's value
     CFG = TruncationConfig(2, 0, 0, window_lo=-2, window_hi=1)
     A = cyl(0, 0)
     B = cyl(-1, 1, 0)
@@ -211,7 +212,7 @@ class TestPartialNodesAreNotShared:
         memo: dict = {}
         engine.RootFront(self.A, self.COMPS, self.CFG, engine.prune, memo=memo)
         [fronts] = memo.values()
-        assert (0, (0, 0)) in fronts
+        assert (0, 0) in fronts  # (floor, rank)
         before = dict(fronts)
         engine.RootFront(self.B, self.COMPS, self.CFG, engine.prune, memo=memo)
         # B's partial nodes are walked and not stored; its leaves are shared

@@ -57,9 +57,10 @@ def test_walk_prices_nodes_through_eval_shifted_and_sets_through_init():
     ``measures.eval_shifted`` calls made under a solve, and
     ``symbolic.windowsets_built`` as the calls of ``WindowSet.__init__``.
     Until the library keeps these counters itself, the walk prices each
-    node through ``eval_shifted`` on a cylinder and through no other
-    pricing function, and ``symbolic`` builds no set around ``__init__``;
-    otherwise both counters would read low while the work is still done."""
+    node through ``eval_shifted`` on a cylinder made from the node's rank
+    by ``WindowSet.ranked_cylinder`` and through no other pricing function,
+    and ``symbolic`` builds no set around ``__init__``; otherwise both
+    counters would read low while the work is still done."""
     root = Path(ddmlab.__file__).parent
 
     def names(tree):
@@ -78,7 +79,7 @@ def test_walk_prices_nodes_through_eval_shifted_and_sets_through_init():
     ]
     assert len(walk) == 2
     used = {name for part in walk for _, name in names(part)}
-    assert {"eval_shifted", "cylinder"} <= used
+    assert {"eval_shifted", "ranked_cylinder"} <= used
     pricing = {"cell_value", "_cell_sum", "eval0"}
     found = [
         f"engine.py:{line} {name}" for part in walk for line, name in names(part)
