@@ -3,10 +3,11 @@
 Commands take their payload from the spec file's ``commands`` section, so a
 run is reproducible from the file alone; flags only select the command, the
 output format, the seed, and display options.  Exit codes: 0 ok, 1 fail
-verdict, 2 input error, 3 resource cap (node, front, enumeration,
-chain-length or bitset cap), 4 internal error (a computed result
-failed its re-check, or any other unexpected exception, whose traceback
-goes to stderr).
+verdict or infeasible budget, 2 input error, 3 resource cap (node, front,
+enumeration, chain-length or bitset cap), 4 internal error.  A package error
+is reported under the kind its class states (see ``errors``); any other
+exception is a fault of the program, reported as internal with its
+traceback on stderr.
 """
 
 from __future__ import annotations
@@ -20,16 +21,7 @@ from fractions import Fraction
 from . import engine, examples, measures, suites
 from .budgeted import BudgetedProblem, psi_budgeted, psi_chain, psi_eps_grid, psi_signed
 from .covers import TruncationConfig
-from .errors import (
-    BitsetCapError,
-    BudgetExceededError,
-    CertificateError,
-    DimensionCapError,
-    InfeasibleError,
-    LabError,
-    RejectedInputError,
-    TooLargeError,
-)
+from .errors import LabError, RejectedInputError
 from .specfile import (
     ProblemSpec,
     decimal_string,
@@ -42,14 +34,14 @@ from .specfile import (
     parse_rational,
     parse_rationals,
     parse_spec,
+    required,
     witness_payload,
 )
 
 EXIT_OK = 0
 EXIT_FAIL = 1
-EXIT_INPUT = 2
-EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
+EXIT_CODES = {"infeasible": EXIT_FAIL, "input": 2, "resource": 3, "internal": EXIT_INTERNAL}
 
 
 def default_spec() -> ProblemSpec:
@@ -114,26 +106,17 @@ def _put_result(row: dict, value: Fraction, args, witness=None):
         row["witness"] = witness_payload(witness)
 
 
-def _field(payload: dict, command: str, name: str, alternative: str = ""):
-    """A required field of a command's payload, named in the error when missing."""
-    if name not in payload:
-        also = f" or {alternative!r}" if alternative else ""
-        raise RejectedInputError(f"the {command} command needs a {name!r}{also} field")
-    return payload[name]
-
-
 def cmd_eval(spec: ProblemSpec, payload: dict, args) -> tuple[dict, int]:
-    mu = spec.measure(_field(payload, "eval", "measure"))
-    s = spec.window_set(_field(payload, "eval", "set"))
-    value = measures.eval0(mu, s)
-    out = {"command": "eval", "measure": payload["measure"], "set": payload["set"]}
+    name, literal = (required(payload, "the eval command", key) for key in ("measure", "set"))
+    value = measures.eval0(spec.measure(name), spec.window_set(literal))
+    out = {"command": "eval", "measure": name, "set": literal}
     _put_result(out, value, args)
     return out, EXIT_OK
 
 
 def cmd_phi(spec: ProblemSpec, payload: dict, args) -> tuple[dict, int]:
-    mu = spec.measure(_field(payload, "phi", "measure"))
-    q = spec.window_set(_field(payload, "phi", "set"))
+    mu = spec.measure(required(payload, "the phi command", "measure"))
+    q = spec.window_set(required(payload, "the phi command", "set"))
     depths = expect_integers(payload.get("depths", [1]), "depths")
     widths = expect_integers(payload.get("widths", [0]), "widths")
     shifts = expect_integers(payload.get("shifts", [0]), "shifts")
@@ -153,8 +136,8 @@ def cmd_phi(spec: ProblemSpec, payload: dict, args) -> tuple[dict, int]:
 
 
 def cmd_psi(spec: ProblemSpec, payload: dict, args) -> tuple[dict, int]:
-    psi = spec.measure(_field(payload, "psi", "objective"))
-    q = spec.window_set(_field(payload, "psi", "set"))
+    psi = spec.measure(required(payload, "the psi command", "objective"))
+    q = spec.window_set(required(payload, "the psi command", "set"))
     cfg = spec.config(payload.get("config", {"depth": 1}))
     if "constraints" in payload:
         # explicit strict bounds instead of the slack-by-shift grid
@@ -162,15 +145,15 @@ def cmd_psi(spec: ProblemSpec, payload: dict, args) -> tuple[dict, int]:
         for c in expect_array(payload["constraints"], "constraints"):
             c = expect_object(c, "a psi constraint")
             constraints.append((
-                spec.measure(_field(c, "psi constraint", "measure")),
-                parse_rational(_field(c, "psi constraint", "bound"), "bound"),
+                spec.measure(required(c, "a psi constraint", "measure")),
+                parse_rational(required(c, "a psi constraint", "bound"), "bound"),
             ))
         cert = psi_budgeted(BudgetedProblem(q, psi, tuple(constraints), cfg))
         out = {"command": "psi"}
         _put_result(out, cert.value, args, cert.witness)
         return out, EXIT_OK
-    phi = spec.measure(_field(payload, "psi", "phi", alternative="constraints"))
-    eps_list = parse_rationals(_field(payload, "psi", "eps"), "eps")
+    phi = spec.measure(required(payload, "the psi command", "phi", alternative="constraints"))
+    eps_list = parse_rationals(required(payload, "the psi command", "eps"), "eps")
     shifts = expect_integers(payload.get("shifts", [0]), "shifts")
     grid = psi_eps_grid(q, psi, phi, eps_list, shifts, cfg)
     rows = []
@@ -194,14 +177,12 @@ def cmd_psi(spec: ProblemSpec, payload: dict, args) -> tuple[dict, int]:
 
 
 def cmd_chain(spec: ProblemSpec, payload: dict, args) -> tuple[dict, int]:
-    phi = spec.measure(_field(payload, "chain", "phi"))
-    q = spec.window_set(_field(payload, "chain", "set"))
+    phi = spec.measure(required(payload, "the chain command", "phi"))
+    q = spec.window_set(required(payload, "the chain command", "set"))
     cfg = spec.config(payload.get("config", {"depth": 1}))
     eps = parse_rational(payload.get("eps", "1/2"), "eps")
-    objectives = [
-        spec.measure(name)
-        for name in expect_array(_field(payload, "chain", "objectives"), "objectives")
-    ]
+    names = expect_array(required(payload, "the chain command", "objectives"), "objectives")
+    objectives = [spec.measure(name) for name in names]
     scales = payload.get("c")
     if scales is None:
         certs = psi_chain(q, phi, objectives, eps, cfg)
@@ -231,22 +212,19 @@ def cmd_example(spec: ProblemSpec, payload: dict, args) -> tuple[dict, int]:
     name = args.name or payload.get("name", "e1")
     params = expect_object(payload.get("params", {}), "params")
     if name == "e1":
-        truncations = params.get("truncations", [[1, 0], [2, 1], [3, 2]])
-        report = examples.example_one(
-            ns=tuple(expect_integers(params.get("ns", [1, 2, 3, 4]), "ns")),
-            truncations=tuple(
-                tuple(expect_integers(t, "a truncation"))
-                for t in expect_array(truncations, "truncations")
-            ),
-        )
+        listed = params.get("truncations", [[1, 0], [2, 1], [3, 2]])
+        pairs = [expect_integers(t, "a truncation") for t in expect_array(listed, "truncations")]
+        for pair in pairs:
+            if len(pair) != 2:
+                raise RejectedInputError(f"a truncation must be a [depth, width] pair, not {pair}")
+        report = examples.example_one(expect_integers(params.get("ns", [1, 2, 3, 4]), "ns"), pairs)
     elif name == "e2":
-        kwargs = {}
-        if "A" in params:
-            kwargs["a"] = parse_matrix(params["A"])
-        if "pi0" in params:
-            kwargs["pi0"] = parse_rationals(params["pi0"], "pi0")
+        a = parse_matrix(params["A"]) if "A" in params else examples.DEFAULT_CHAIN
+        if len(a) != spec.n:
+            raise RejectedInputError(f"A has {len(a)} states, not the alphabet's {spec.n}")
+        pi0 = parse_rationals(params["pi0"], "pi0") if "pi0" in params else None
         samples = suites.example_sample_sets(args.seed, spec.n)
-        report = examples.example_two(sample_sets=samples, **kwargs)
+        report = examples.example_two(a, pi0, sample_sets=samples)
     else:
         raise RejectedInputError(f"unknown example {name!r}; known examples: e1, e2")
     out, code = _report_payload([report])
@@ -316,18 +294,9 @@ def main(argv=None) -> int:
         spec = load_spec(args.spec) if args.spec else default_spec()
         payload = expect_object(spec.commands.get(args.command, {}), f"the {args.command} command")
         out, code = COMMANDS[args.command](spec, payload, args)
-    except (BitsetCapError, BudgetExceededError, TooLargeError, DimensionCapError) as exc:
-        print(json.dumps({"error": str(exc), "kind": "resource"}, sort_keys=True))
-        return EXIT_RESOURCE
-    except InfeasibleError as exc:
-        print(json.dumps({"error": str(exc), "kind": "infeasible"}, sort_keys=True))
-        return EXIT_FAIL
-    except CertificateError as exc:
-        print(json.dumps({"error": str(exc), "kind": "internal"}, sort_keys=True))
-        return EXIT_INTERNAL
-    except (LabError, KeyError, OSError, json.JSONDecodeError, ValueError) as exc:
-        print(json.dumps({"error": str(exc), "kind": "input"}, sort_keys=True))
-        return EXIT_INPUT
+    except LabError as exc:
+        print(json.dumps({"error": str(exc), "kind": exc.kind}, sort_keys=True))
+        return EXIT_CODES[exc.kind]
     except Exception as exc:
         # a defect of the program, never a verdict: name it, keep the traceback
         traceback.print_exc()

@@ -46,11 +46,9 @@ class Cover:
     def pricing_base(self) -> int:
         return self.base_shift if self.cost_base is None else self.cost_base
 
-    def union(self) -> symbolic.WindowSet:
-        if not self.entries:
-            n = 1
-            return symbolic.WindowSet.empty(n)
-        n = self.entries[0][1].n
+    def union(self, n: int) -> symbolic.WindowSet:
+        """The union of the entries; an empty cover has no alphabet of its
+        own, so ``n`` gives it."""
         return symbolic.union_all(n, (a for _, a in self.entries))
 
 
@@ -98,7 +96,7 @@ def is_valid_cover(q: symbolic.WindowSet, c: Cover) -> bool:
         return True
     if not c.entries:
         return False
-    return symbolic.is_subset(q, c.union())
+    return symbolic.is_subset(q, c.union(q.n))
 
 
 def cover_cost(c: Cover, phi: measures.CylinderMeasure) -> Fraction:

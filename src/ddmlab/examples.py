@@ -10,6 +10,7 @@ from fractions import Fraction
 
 from . import engine, measures, symbolic
 from .covers import TruncationConfig
+from .errors import RejectedInputError
 from .specfile import format_rational
 from .verify import Report
 
@@ -66,10 +67,11 @@ def example_two(a=DEFAULT_CHAIN, pi0=None, sample_sets=()) -> Report:
     a = tuple(tuple(Fraction(x) for x in row) for row in a)
     n = len(a)
     pi = measures.stationary_distribution(a)
-    if pi0 is None:
-        pi0 = tuple(Fraction(1, n) for _ in range(n))
-    else:
-        pi0 = tuple(Fraction(x) for x in pi0)
+    # the chain checks the start's size and mass before any ratio is taken
+    phi0 = measures.MarkovMeasure([Fraction(1, n)] * n if pi0 is None else pi0, a)
+    pi0 = phi0.pi
+    if 0 in pi0:
+        raise RejectedInputError(f"pi0 must be positive; state {pi0.index(0)} has 0")
     lam0 = min(pi[i] / pi0[i] for i in range(n))
     alpha0 = max(pi[i] / pi0[i] for i in range(n))
     report.add(
@@ -78,7 +80,6 @@ def example_two(a=DEFAULT_CHAIN, pi0=None, sample_sets=()) -> Report:
         f"lambda0={format_rational(lam0)} alpha0={format_rational(alpha0)}",
     )
     phi = measures.MarkovMeasure(pi, a)
-    phi0 = measures.MarkovMeasure(pi0, a)
     cfg = TruncationConfig(2, 1, 0)
     x = symbolic.WindowSet.full_space(n)
     full_value = engine.phi_truncated(x, phi, cfg).value

@@ -129,8 +129,10 @@ class MarkovMeasure(CylinderMeasure):
     def __init__(self, pi, a):
         self.pi = tuple(_as_fraction(x) for x in pi)
         self.a = tuple(tuple(_as_fraction(x) for x in row) for row in a)
-        n = len(self.pi)
-        if n < 1 or len(self.a) != n or any(len(row) != n for row in self.a):
+        n = len(self.a)
+        if n < 1:
+            raise RejectedInputError("a chain needs at least one state")
+        if len(self.pi) != n or any(len(row) != n for row in self.a):
             raise RejectedInputError("matrix and initial vector sizes disagree")
         if any(x < 0 for x in self.pi) or sum(self.pi) != 1:
             raise RejectedInputError("initial vector is not a distribution")
@@ -445,6 +447,8 @@ def stationary_distribution(a: Sequence[Sequence]) -> tuple[Fraction, ...]:
     matrix, found by exact Gaussian elimination."""
     a = [[_as_fraction(x) for x in row] for row in a]
     n = len(a)
+    if n < 1:
+        raise RejectedInputError("a chain needs at least one state")
     if any(len(row) != n for row in a):
         raise RejectedInputError("matrix is not square")
     for row in a:

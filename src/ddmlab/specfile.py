@@ -1,9 +1,14 @@
 """Problem-spec file: one self-describing JSON document per batch.
 
 Rationals are decimal-free "p/q" strings (or plain integers).  Measures are
-tagged records that may reference other named measures.  Window sets use
-the textual literal syntax ``full``, ``empty``, ``cyl(j,[a,b,...])`` and
-``union(...)``.
+tagged records that may reference other named measures, in any order.
+Window sets use the textual literal syntax ``full``, ``empty``,
+``cyl(j,[a,b,...])`` and ``union(...)``.
+
+Every defect of the input is raised as a ``RejectedInputError`` where it is
+read, and names what is wrong: a missing field and its owner, a reference
+that is undefined or cyclic, the position of a bad literal token, or the
+file that cannot be read.
 """
 
 from __future__ import annotations
@@ -16,10 +21,6 @@ from fractions import Fraction
 from . import measures, symbolic
 from .covers import TruncationConfig
 from .errors import RejectedInputError
-
-
-class _UnknownMeasureName(RejectedInputError):
-    """A measure record references a name not (yet) defined."""
 
 
 def expect_object(value, what: str) -> dict:
@@ -60,8 +61,7 @@ def parse_rational(text, what: str) -> Fraction:
     m = _RATIONAL.match(text) if isinstance(text, str) else None
     if not m:
         raise RejectedInputError(f"{what} must be a rational, not {text!r}")
-    num = int(m.group(1))
-    den = int(m.group(2)) if m.group(2) else 1
+    num, den = (expect_integer(g or 1, what) for g in m.groups())
     if den == 0:
         raise RejectedInputError(f"{what} has a zero denominator")
     return Fraction(num, den)
@@ -91,131 +91,99 @@ def decimal_string(x: Fraction, digits: int) -> str:
 # -- set literals --------------------------------------------------------
 
 
+_TOKEN = re.compile(r"\s*(-?\d+|[a-z_]+|\S)")
+
+
 def parse_set(text: str, n: int) -> symbolic.WindowSet:
+    """A set literal, read by recursive descent over its tokens."""
     if not isinstance(text, str):
         raise RejectedInputError(f"a set literal must be a string, not {text!r}")
-    parser = _SetParser(text, n)
-    result = parser.expression()
-    parser.expect_end()
-    return result
+    # (position, token) pairs, last token first, ending in "" at the end
+    tokens = [(len(text), "")] + [(m.start(1), m.group(1)) for m in _TOKEN.finditer(text)][::-1]
 
+    def take(*wanted, what=""):
+        """The next token, one of ``wanted`` (an integer when none is given)."""
+        pos, token = tokens[-1]
+        if not (token in wanted if wanted else re.fullmatch(r"-?\d+", token)):
+            raise RejectedInputError(f"expected {what or repr(wanted[0])} at {pos} in {text!r}")
+        tokens.pop()
+        return token
 
-class _SetParser:
-    def __init__(self, text: str, n: int):
-        self.text = text
-        self.pos = 0
-        self.n = n
+    def integer():
+        # not int(): a digit string too long for int() is the input's defect
+        return expect_integer(take(what="an integer"), "a set literal's integer")
 
-    def error(self, message: str):
-        raise RejectedInputError(f"{message} at {self.pos} in {self.text!r}")
-
-    def skip(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def expect(self, token: str):
-        self.skip()
-        if not self.text.startswith(token, self.pos):
-            self.error(f"expected {token!r}")
-        self.pos += len(token)
-
-    def expect_end(self):
-        self.skip()
-        if self.pos != len(self.text):
-            self.error("trailing input")
-
-    def peek_word(self) -> str:
-        self.skip()
-        m = re.match(r"[a-z_]+", self.text[self.pos :])
-        return m.group(0) if m else ""
-
-    def integer(self) -> int:
-        self.skip()
-        m = re.match(r"-?\d+", self.text[self.pos :])
-        if not m:
-            self.error("expected an integer")
-        self.pos += len(m.group(0))
-        return int(m.group(0))
-
-    def expression(self) -> symbolic.WindowSet:
-        word = self.peek_word()
+    def expression():
+        word = take("full", "empty", "cyl", "union", what="full, empty, cyl or union")
         if word == "full":
-            self.expect("full")
-            return symbolic.WindowSet.full_space(self.n)
+            return symbolic.WindowSet.full_space(n)
         if word == "empty":
-            self.expect("empty")
-            return symbolic.WindowSet.empty(self.n)
-        if word == "cyl":
-            return self.cylinder()
+            return symbolic.WindowSet.empty(n)
+        take("(")
         if word == "union":
-            self.expect("union")
-            self.expect("(")
-            parts = [self.expression()]
-            while True:
-                self.skip()
-                if self.text.startswith(",", self.pos):
-                    self.pos += 1
-                    parts.append(self.expression())
-                else:
-                    break
-            self.expect(")")
-            return symbolic.union_all(self.n, parts)
-        self.error("expected full, empty, cyl or union")
+            # the parts are read here, not by a helper: one frame per level
+            parts = [expression()]
+            while take(",", ")", what="')'") == ",":
+                parts.append(expression())
+            return symbolic.union_all(n, parts)
+        start = integer()
+        take(",")
+        take("[")
+        cells = [integer()]
+        while take(",", "]", what="']'") == ",":
+            cells.append(integer())
+        take(")")
+        return symbolic.WindowSet.cylinder(n, start, cells)
 
-    def cylinder(self) -> symbolic.WindowSet:
-        self.expect("cyl")
-        self.expect("(")
-        start = self.integer()
-        self.expect(",")
-        self.expect("[")
-        word = [self.integer()]
-        while True:
-            self.skip()
-            if self.text.startswith(",", self.pos):
-                self.pos += 1
-                word.append(self.integer())
-            else:
-                break
-        self.expect("]")
-        self.expect(")")
-        return symbolic.WindowSet.cylinder(self.n, start, word)
+    result = expression()
+    take("", what="the end of the literal")
+    return result
 
 
 # -- measures ------------------------------------------------------------
 
 
-def parse_measure(record, named: dict, n: int) -> measures.CylinderMeasure:
+def required(record: dict, owner: str, name: str, alternative: str = ""):
+    """A required field of ``record``, named with its owner when missing."""
+    if name not in record:
+        also = f" or {alternative!r}" if alternative else ""
+        raise RejectedInputError(f"{owner} needs a field {name!r}{also}")
+    return record[name]
+
+
+def parse_measure(record, resolve, n: int) -> measures.CylinderMeasure:
+    """A measure record, or a measure name that ``resolve`` looks up."""
     if isinstance(record, str):
-        if record not in named:
-            raise _UnknownMeasureName(f"unknown measure name {record!r}")
-        return named[record]
-    if not isinstance(record, dict) or "kind" not in record:
-        raise RejectedInputError(f"measure record needs a kind: {record!r}")
-    kind = record["kind"]
+        return resolve(record)
+    kind = required(expect_object(record, "a measure record"), "a measure record", "kind")
+
+    def get(name):
+        return required(record, f"a {kind} measure", name)
+
     if kind == "markov":
-        return measures.MarkovMeasure(parse_rationals(record["pi"], "pi"), parse_matrix(record["A"]))
+        return measures.MarkovMeasure(parse_rationals(get("pi"), "pi"), parse_matrix(get("A")))
     if kind == "stationary_markov":
-        return measures.stationary_markov(parse_matrix(record["A"]))
+        return measures.stationary_markov(parse_matrix(get("A")))
     if kind == "dirac":
         exceptions = tuple(
             (expect_integer(j, "an exception coordinate"), expect_integer(s, "a symbol"))
             for j, s in expect_object(record.get("exceptions", {}), "exceptions").items()
         )
-        period = tuple(expect_integers(record["period"], "period"))
+        period = tuple(expect_integers(get("period"), "period"))
         return measures.DiracMeasure(n, period, exceptions)
     if kind == "bernoulli":
-        return measures.BernoulliMeasure(parse_rationals(record["p"], "p"))
+        return measures.BernoulliMeasure(parse_rationals(get("p"), "p"))
     if kind == "cesaro":
-        base = parse_measure(record["base"], named, n)
-        return measures.cesaro(base, expect_integer(record["n"], "n"))
+        base = parse_measure(get("base"), resolve, n)
+        return measures.cesaro(base, expect_integer(get("n"), "n"))
     if kind == "convex":
-        parts = tuple(parse_measure(p, named, n) for p in expect_array(record["parts"], "parts"))
-        return measures.ConvexMeasure(parse_rationals(record["weights"], "weights"), parts)
+        parts = tuple(parse_measure(p, resolve, n) for p in expect_array(get("parts"), "parts"))
+        return measures.ConvexMeasure(parse_rationals(get("weights"), "weights"), parts)
     if kind == "signed_diff":
         return measures.SignedDiffMeasure(
-            parse_measure(record["psi"], named, n),
-            parse_rational(record["c"], "c"),
-            parse_measure(record["phi"], named, n),
+            parse_measure(get("psi"), resolve, n),
+            parse_rational(get("c"), "c"),
+            parse_measure(get("phi"), resolve, n),
         )
     raise RejectedInputError(f"unknown measure kind {kind!r}")
 
@@ -263,8 +231,11 @@ class ProblemSpec:
 
 
 def load_spec(path: str) -> ProblemSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except (OSError, RecursionError, ValueError) as exc:
+        raise RejectedInputError(f"cannot read the spec file {path!r}: {exc}") from exc
     return parse_spec(raw)
 
 
@@ -275,23 +246,28 @@ def parse_spec(raw: dict) -> ProblemSpec:
         raise RejectedInputError("alphabet needs at least one symbol")
     section = {key: expect_object(raw.get(key, {}), key)
                for key in ("measures", "sets", "configs", "commands")}
-    named: dict = {}
-    pending = dict(section["measures"])
-    # named measures may reference each other; resolve until stable.  Only a
-    # reference to a name not yet resolved leaves a measure pending: every
-    # other error is the record's own defect and is raised as it is.
-    progress = True
-    while pending and progress:
-        progress = False
-        for name in list(pending):
-            try:
-                named[name] = parse_measure(pending[name], named, n)
-            except _UnknownMeasureName:
-                continue
-            del pending[name]
-            progress = True
-    if pending:
-        raise RejectedInputError(f"unresolvable measure references: {sorted(pending)}")
+    records, named = section["measures"], {}
+    reading: list = []  # the named measures being read, innermost last
+
+    def resolve(name: str) -> measures.CylinderMeasure:
+        # named measures may reference each other in any order: each is read
+        # when first used, so its defect is raised where it is read
+        if name in named:
+            return named[name]
+        if name not in records or name in reading:
+            why = "it closes a cycle" if name in reading else "no measure has that name"
+            raise RejectedInputError(
+                f"unresolvable measure reference {name!r} in measure {reading[-1]!r}: {why}")
+        reading.append(name)
+        named[name] = parse_measure(records[name], resolve, n)
+        reading.pop()
+        return named[name]
+
+    for name in records:
+        try:
+            resolve(name)
+        except RecursionError:
+            raise RejectedInputError(f"measure {name!r} nests its references too deeply") from None
     sets = {name: parse_set(text, n) for name, text in section["sets"].items()}
     configs = {name: parse_config(rec) for name, rec in section["configs"].items()}
     return ProblemSpec(n, named, sets, configs, dict(section["commands"]))

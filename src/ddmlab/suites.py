@@ -129,7 +129,7 @@ def suite_disjointify(seed: int) -> Report:
         cover = random_cover(rng, n, rng.choice([0, -1]), rng.randint(1, 2))
         phi = random_measure(rng, n)
         refined = disjointify(cover)
-        if refined.union() != cover.union():
+        if refined.union(n) != cover.union(n):
             union_fails.append(f"case {k}: union changed")
         union_fails += [
             f"case {k}: entries overlap"
@@ -521,7 +521,7 @@ SUITES = {
 def run_suite(name: str, seed: int) -> list[Report]:
     if name == "all":
         return [SUITES[key](seed) for key in sorted(SUITES)]
-    if name not in SUITES:
+    if not isinstance(name, str) or name not in SUITES:
         known = ", ".join(["all"] + sorted(SUITES))
         raise RejectedInputError(f"unknown suite {name!r}; known suites: {known}")
     return [SUITES[name](seed)]

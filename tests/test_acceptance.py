@@ -147,7 +147,7 @@ def test_criterion_06_disjointification():
             cover = suites.random_cover(rng, 2, rng.choice([0, -1]), rng.randint(1, 2))
             mu = suites.random_measure(rng, 2)
             refined = disjointify(cover)
-            assert refined.union() == cover.union()
+            assert refined.union(2) == cover.union(2)
             assert cover_cost(refined, mu) <= cover_cost(cover, mu)
         for _ in range(30):
             q = suites.random_window_set(rng, 2, lo_range=(0, 1), max_span=2)

@@ -335,17 +335,24 @@ def test_missing_command_field_is_named(capsys, tmp_path, command, payload, name
 
 
 def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
-    def broken(spec, payload, args):
-        raise RuntimeError("boom")
+    # a KeyError or a ValueError is a fault of the program too: only a
+    # package error is the input's
+    for error, shown in [
+        (RuntimeError("boom"), "RuntimeError: boom"),
+        (KeyError("boom"), "KeyError: 'boom'"),
+        (ValueError("boom"), "ValueError: boom"),
+    ]:
+        def broken(spec, payload, args):
+            raise error
 
-    monkeypatch.setitem(cli.COMMANDS, "eval", broken)
-    code = main(["eval"])
-    captured = capsys.readouterr()
-    lines = captured.out.strip().splitlines()
-    assert code == 4 and len(lines) == 1
-    payload = json.loads(lines[0])
-    assert payload == {"error": "RuntimeError: boom", "kind": "internal"}
-    assert "Traceback" in captured.err and "boom" in captured.err
+        monkeypatch.setitem(cli.COMMANDS, "eval", broken)
+        code = main(["eval"])
+        captured = capsys.readouterr()
+        lines = captured.out.strip().splitlines()
+        assert code == 4 and len(lines) == 1
+        payload = json.loads(lines[0])
+        assert payload == {"error": shown, "kind": "internal"}
+        assert "Traceback" in captured.err and "boom" in captured.err
 
 
 def _edited(path, value):
@@ -411,6 +418,51 @@ MALFORMED = [
     ("phi", ("commands", "phi", "base_graded"), "no", "base_graded must be a JSON boolean"),
     ("eval", ("measures", "coin"), {"kind": "bernoulli", "p": [True, 0]},
      "p must be a rational, not True"),
+    # a missing field of each measure kind is named with its kind, where it
+    # once was a bare key such as 'A'
+    ("eval", ("measures", "chain"), {"kind": "markov", "A": [["1"]]},
+     "a markov measure needs a field 'pi'"),
+    ("eval", ("measures", "chain"), {"kind": "markov", "pi": ["1"]},
+     "a markov measure needs a field 'A'"),
+    ("eval", ("measures", "auto"), {"kind": "stationary_markov"},
+     "a stationary_markov measure needs a field 'A'"),
+    ("eval", ("measures", "point"), {"kind": "dirac"}, "a dirac measure needs a field 'period'"),
+    ("eval", ("measures", "coin"), {"kind": "bernoulli"}, "a bernoulli measure needs a field 'p'"),
+    ("eval", ("measures", "avg1"), {"kind": "cesaro", "n": 1},
+     "a cesaro measure needs a field 'base'"),
+    ("eval", ("measures", "avg1"), {"kind": "cesaro", "base": "point"},
+     "a cesaro measure needs a field 'n'"),
+    ("eval", ("measures", "mix"), {"kind": "convex", "weights": ["1"]},
+     "a convex measure needs a field 'parts'"),
+    ("eval", ("measures", "mix"), {"kind": "convex", "parts": ["point"]},
+     "a convex measure needs a field 'weights'"),
+    ("eval", ("measures", "gap"), {"kind": "signed_diff", "c": "1", "phi": "point"},
+     "a signed_diff measure needs a field 'psi'"),
+    ("eval", ("measures", "gap"), {"kind": "signed_diff", "psi": "point", "phi": "point"},
+     "a signed_diff measure needs a field 'c'"),
+    ("eval", ("measures", "gap"), {"kind": "signed_diff", "psi": "point", "c": "1"},
+     "a signed_diff measure needs a field 'phi'"),
+    ("eval", ("measures", "gap"), {"psi": "point"}, "a measure record needs a field 'kind'"),
+    ("eval", ("measures", "avg1", "base"), "nope",
+     "unresolvable measure reference 'nope' in measure 'avg1': no measure has that name"),
+    ("eval", ("measures", "point"), {"kind": "cesaro", "base": "avg1", "n": 1},
+     "unresolvable measure reference 'point' in measure 'avg1': it closes a cycle"),
+    ("example", ("commands", "example", "params", "truncations"), [[1]],
+     "a truncation must be a [depth, width] pair, not [1]"),
+    ("example", ("commands", "example", "params", "truncations"), [[1, 0], [1, 0, 2]],
+     "a truncation must be a [depth, width] pair, not [1, 0, 2]"),
+    # e2's start vector is checked before any ratio is taken: these once
+    # exited 4 with an IndexError or a ZeroDivisionError
+    ("example", ("commands", "example"), {"name": "e2", "params": {"pi0": []}},
+     "matrix and initial vector sizes disagree"),
+    ("example", ("commands", "example"), {"name": "e2", "params": {"pi0": ["1"]}},
+     "matrix and initial vector sizes disagree"),
+    ("example", ("commands", "example"), {"name": "e2", "params": {"pi0": ["0", "1"]}},
+     "pi0 must be positive; state 0 has 0"),
+    ("example", ("commands", "example"), {"name": "e2", "params": {"A": [["1"]]}},
+     "A has 1 states, not the alphabet's 2"),
+    # bytes stand for the file itself, which is not JSON
+    ("eval", (), b"{not json", "cannot read the spec file {path!r}"),
 ]
 
 
@@ -418,8 +470,11 @@ MALFORMED = [
 def test_malformed_spec_is_an_input_error(capsys, tmp_path, command, path, value, phrase):
     spec = _edited(path, value)
     spec_file = tmp_path / "spec.json"
-    spec_file.write_text(json.dumps(spec))
+    if isinstance(spec, bytes):
+        spec_file.write_bytes(spec)
+    else:
+        spec_file.write_text(json.dumps(spec))
     code, out = run(capsys, command, "--spec", str(spec_file))
     payload = json.loads(out)
     assert (code, payload["kind"]) == (2, "input")
-    assert phrase in payload["error"]
+    assert phrase.format(path=str(spec_file)) in payload["error"]

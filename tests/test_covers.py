@@ -85,7 +85,7 @@ class TestDisjointify:
             c = random_cover(rng, 2, rng.choice([0, -1]), rng.randint(1, 2))
             mu = random_measure(rng, 2)
             d = disjointify(c)
-            assert d.union() == c.union()
+            assert d.union(2) == c.union(2)
             for m1, a1 in d.entries:
                 for m2, a2 in d.entries:
                     if m1 != m2:

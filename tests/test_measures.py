@@ -156,6 +156,10 @@ class TestStationaryDistribution:
         with pytest.raises(NotIrreducibleError):
             stationary_distribution([[1, 0], [0, 1]])
 
+    def test_an_empty_chain_needs_a_state(self):
+        with pytest.raises(RejectedInputError, match="a chain needs at least one state"):
+            stationary_distribution([])
+
 
 class TestCesaro:
     def test_two_term_average_splits_the_mass(self):
@@ -251,6 +255,11 @@ def test_convex_combination():
     assert eval0(mix, cyl(0, 0)) == F(1, 2) * 1 + F(1, 2) * F(1, 2)
     with pytest.raises(RejectedInputError):
         measures.ConvexMeasure((F(1, 2), F(1, 4)), (ALT, ALT))
+
+
+def test_an_empty_markov_measure_needs_a_state():
+    with pytest.raises(RejectedInputError, match="a chain needs at least one state"):
+        MarkovMeasure([], [])
 
 
 def test_validation_errors():

@@ -4,6 +4,7 @@ syntax and the command-line front door."""
 import contextlib
 import io
 import json
+import re
 
 import pytest
 
@@ -149,7 +150,9 @@ SPEC = {
                 "shifts": [0, -1], "config": "c"},
         "chain": {"phi": "chain", "objectives": ["avg1", "signed"], "eps": "1/2",
                   "set": "zero", "config": "c", "c": ["0", "1/2"]},
-        "example": {"name": "e1", "params": {"ns": [1, 2], "truncations": [[1, 0]]}},
+        "example": {"name": "e1", "params": {"ns": [1, 2], "truncations": [[1, 0]],
+                                             "A": [["1/2", "1/2"], ["1/4", "3/4"]],
+                                             "pi0": ["1/2", "1/2"]}},
     },
 }
 
@@ -219,6 +222,9 @@ def test_cli_answers_a_fuzzed_spec_with_one_json_line(tmp_path_factory, command,
     lines = out.getvalue().splitlines()
     assert code in (0, 1, 2, 3, 4)
     assert len(lines) == 1
-    json.loads(lines[0])
+    payload = json.loads(lines[0])
     # a malformed spec is the input's defect: exit 4 would blame the program
     assert code != 4, (lines[0], err.getvalue())
+    # and its message names the defect, never a bare key such as 'A'
+    if code == 2:
+        assert not re.fullmatch(r"'[^']*'", payload["error"]), payload["error"]

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -55,8 +56,16 @@ class TestSetLiterals:
             assert parse_set(s.literal(), 2) == s
 
     def test_errors(self):
-        for bad in ("cyl(0)", "cyl(0,[2])", "union()", "blob", "cyl(0,[1]) trailing"):
-            with pytest.raises(RejectedInputError):
+        for bad, message in [
+            ("cyl(0)", "expected ',' at 5 in 'cyl(0)'"),
+            ("cyl(0,[2])", "symbol 2 outside alphabet"),
+            ("union()", "expected full, empty, cyl or union at 6"),
+            ("blob", "expected full, empty, cyl or union at 0"),
+            ("cyl(0,[1]) trailing", "expected the end of the literal at 11"),
+            ("cyl( 0 , [1 ,x])", "expected an integer at 13"),
+            ("union(full empty)", "expected ')' at 11"),
+        ]:
+            with pytest.raises(RejectedInputError, match=re.escape(message)):
                 parse_set(bad, 2)
 
 
