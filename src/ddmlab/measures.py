@@ -4,6 +4,8 @@ Every measure here is an evaluator of cylinders supported on coordinates
 >= 0, extended to finite unions by summing over disjoint word cells.  All
 values are exact rationals; no floating point enters any value path, and a
 caller may add them as integers over a :meth:`CylinderMeasure.denominator`.
+The Cesàro, convex and signed kinds are one weighted mix of shifted measures,
+and a mix of parts in Markov form with one matrix is in Markov form too.
 
 The graded family attached to a base measure phi is phi_m = phi . S^m for
 m <= 0, evaluated through :func:`eval_shifted`.  Shifted pricing never
@@ -242,49 +244,83 @@ class BernoulliMeasure(MarkovMeasure):
         return f"BernoulliMeasure({self.p})"
 
 
-class CesaroMeasure(CylinderMeasure):
-    """Average of the first n+1 backward shift images of a base measure.
+class _Mix(CylinderMeasure):
+    """sum_i weights[i] * parts[i], part i read offsets[i] coordinates to the
+    right and dropped at weight 0: the Cesàro, convex and signed kinds, each of
+    which only checks its inputs and names its weights."""
 
-    Evaluating at a set with min coordinate >= 0 only ever evaluates the
-    base on sets with min coordinate >= 0, so the average stays inside the
-    base algebra.
-    """
+    def __init__(self, weights, parts, offsets):
+        if len({part.symbols for part in parts}) != 1:
+            raise RejectedInputError("parts live over different alphabets")
+        self.symbols = parts[0].symbols
+        # a kind that declares itself signed stays signed whatever its weights
+        self.nonnegative = self.nonnegative and all(
+            w >= 0 and part.nonnegative for w, part in zip(weights, parts))
+        self._terms = tuple(term for term in zip(weights, parts, offsets) if term[0])
+        self._at: dict[int, DecisionTable | None] = {}
+        self._tables: dict[tuple[Fraction, ...], DecisionTable] = {}  # by mixed marginal
+
+    def table(self, at: int) -> DecisionTable | None:
+        # in Markov form when every part is where it is read, with one matrix;
+        # rho mixes the parts' vectors, and a lone part (weight 1) lends its table
+        if at not in self._at:
+            tables = [part.table(at + offset) for _, part, offset in self._terms]
+            table = None
+            if self.nonnegative and all(tables) and all(t.a == tables[0].a for t in tables):
+                rho = tuple(sum((w * t.rho[s] for (w, _, _), t in zip(self._terms, tables)), ZERO)
+                            for s in range(self.symbols))
+                lone = len(tables) == 1 and rho == tables[0].rho
+                table = tables[0] if lone else _shared_table(self._tables, rho, tables[0].a)
+            self._at[at] = table
+        return self._at[at]
+
+    def takes(self, at: int, word: tuple[int, ...], k: int) -> bool:
+        table = self.table(at)
+        if table is not None:
+            return table.takes(word[0], k)
+        # the minimum of a sum is at least the sum of the parts' minimums, and a
+        # part priced 0 adds 0 at its best; a part with neither a table nor a
+        # rule of its own answers no, and some part prices the node above 0
+        parts = [(part, at + offset, part.table(at + offset)) for _, part, offset in self._terms]
+        if not self.nonnegative or not any(t or isinstance(part, _Mix) for part, _, t in parts):
+            return False
+        return all(part.takes(lo, word, k) for part, lo, t in parts
+                   if t or part.cell_value(lo, word))
+
+    def _denominator(self, at: int, length: int) -> int:
+        return math.lcm(*(w.denominator * part.denominator(at + offset, length)
+                          for w, part, offset in self._terms))
+
+    def cell_value(self, lo: int, word: tuple[int, ...]) -> Fraction:
+        # a part that misses the cell adds nothing; the rest add over one lcm
+        num, den = 0, 1
+        for w, part, offset in self._terms:
+            value = part.cell_value(lo + offset, word)
+            if value:
+                q = w.denominator * value.denominator
+                d = math.lcm(den, q)
+                num = num * (d // den) + w.numerator * value.numerator * (d // q)
+                den = d
+        return Fraction(num, den)
+
+
+class CesaroMeasure(_Mix):
+    """Average of the first n+1 backward shift images of a base measure, which
+    reads the base only on coordinates >= 0 and so stays inside its algebra."""
 
     def __init__(self, base: CylinderMeasure, n: int):
         if n < 1:
             raise RejectedInputError("average length must be positive")
         self.base = base
         self.n = int(n)
-        self.symbols = base.symbols
-        self.nonnegative = base.nonnegative
-        self._at: dict[int, DecisionTable | None] = {}
-        self._tables: dict[tuple[Fraction, ...], DecisionTable] = {}  # by averaged marginal
+        super().__init__((Fraction(1, self.n + 1),) * (self.n + 1), (base,) * (self.n + 1),
+                         range(self.n + 1))
 
     def __repr__(self):
         return f"CesaroMeasure({self.base!r}, {self.n})"
 
-    def table(self, at: int) -> DecisionTable | None:
-        # in Markov form when the base is at each averaged coordinate, with
-        # one matrix: rho is then the average of the base's vectors
-        if at not in self._at:
-            tables = [self.base.table(at + j) for j in range(self.n + 1)]
-            table = None
-            if all(tables) and all(t.a == tables[0].a for t in tables):
-                rho = tuple(sum(col, ZERO) / len(tables) for col in zip(*(t.rho for t in tables)))
-                table = _shared_table(self._tables, rho, tables[0].a)
-            self._at[at] = table
-        return self._at[at]
 
-    def _denominator(self, at: int, length: int) -> int:
-        return (self.n + 1) * math.lcm(*(self.base.denominator(at + j, length)
-                                         for j in range(self.n + 1)))
-
-    def cell_value(self, lo: int, word: tuple[int, ...]) -> Fraction:
-        total = exact_sum([self.base.cell_value(lo + j, word) for j in range(self.n + 1)])
-        return total / (self.n + 1)
-
-
-class ConvexMeasure(CylinderMeasure):
+class ConvexMeasure(_Mix):
     """Convex combination of measures over the same alphabet."""
 
     def __init__(self, weights, parts):
@@ -294,39 +330,16 @@ class ConvexMeasure(CylinderMeasure):
             raise RejectedInputError("weights and parts disagree")
         if any(w < 0 for w in self.weights) or sum(self.weights) != 1:
             raise RejectedInputError("weights are not convex")
-        sizes = {p.symbols for p in self.parts}
-        if len(sizes) != 1:
-            raise RejectedInputError("parts live over different alphabets")
-        self.symbols = self.parts[0].symbols
-        self.nonnegative = all(p.nonnegative for p in self.parts)
+        super().__init__(self.weights, self.parts, (0,) * len(self.parts))
 
     def __repr__(self):
         return f"ConvexMeasure({self.weights}, {self.parts})"
 
-    def table(self, at: int) -> DecisionTable | None:
-        parts = [part for w, part in zip(self.weights, self.parts) if w]
-        return parts[0].table(at) if len(parts) == 1 else None  # a lone part has weight 1
 
-    def takes(self, at: int, word: tuple[int, ...], k: int) -> bool:
-        # the minimum of a sum is at least the sum of the parts' minimums; a
-        # part with no table is priced, and one priced 0 adds 0 at its best
-        return all(part.takes(at, word, k) for w, part in zip(self.weights, self.parts)
-                   if w and (part.table(at) is not None or part.cell_value(at, word)))
-
-    def _denominator(self, at: int, length: int) -> int:
-        return math.lcm(*(w.denominator * part.denominator(at, length)
-                          for w, part in zip(self.weights, self.parts) if w))
-
-    def cell_value(self, lo: int, word: tuple[int, ...]) -> Fraction:
-        # a part that misses the cell adds nothing
-        return exact_sum([w * value for w, part in zip(self.weights, self.parts)
-                          if (value := part.cell_value(lo, word))])
-
-
-class SignedDiffMeasure(CylinderMeasure):
+class SignedDiffMeasure(_Mix):
     """psi - c * phi with c >= 0; the one kind that may evaluate negative."""
 
-    nonnegative = False
+    nonnegative = False  # even at c = 0, which its mix would read as nonnegative
 
     def __init__(self, psi: CylinderMeasure, c, phi: CylinderMeasure):
         self.psi = psi
@@ -334,19 +347,10 @@ class SignedDiffMeasure(CylinderMeasure):
         self.phi = phi
         if self.c < 0:
             raise RejectedInputError("scale must be nonnegative")
-        if psi.symbols != phi.symbols:
-            raise RejectedInputError("parts live over different alphabets")
-        self.symbols = psi.symbols
+        super().__init__((ONE, -self.c), (psi, phi), (0, 0))
 
     def __repr__(self):
         return f"SignedDiffMeasure({self.psi!r}, {self.c}, {self.phi!r})"
-
-    def _denominator(self, at: int, length: int) -> int:
-        return math.lcm(self.psi.denominator(at, length),
-                        self.c.denominator * self.phi.denominator(at, length))
-
-    def cell_value(self, lo: int, word: tuple[int, ...]) -> Fraction:
-        return self.psi.cell_value(lo, word) - self.c * self.phi.cell_value(lo, word)
 
 
 def cesaro(mu: CylinderMeasure, n: int) -> CylinderMeasure:
@@ -386,45 +390,36 @@ def _cell_sum(mu: CylinderMeasure, n: int, key, m: int) -> Fraction:
 
 
 def eval0(mu: CylinderMeasure, s: symbolic.WindowSet) -> Fraction:
-    """Value of the base set function on a window set over coordinates >= 0.
-
-    Computed by summing the disjoint word cells of the canonical form; the
-    empty set gets 0 and the full space the measure's total mass.
-    """
+    """Value of the base set function on a window set over coordinates >= 0:
+    the grade-0 member of the shifted family."""
     if mu.symbols != s.n:
         raise RejectedInputError("set and measure alphabets disagree")
     key = s.canonical_key()
-    if key == ("empty",):
-        return ZERO
-    if key == ("full",):
-        return sum((mu.cell_value(0, (b,)) for b in range(s.n)), ZERO)
-    lo = key[0]
-    if lo < 0:
-        raise NegativeCoordinateError(
-            f"set depends on coordinate {lo} below the base algebra"
-        )
-    return _cell_sum(mu, s.n, key, 0)
+    if len(key) > 1 and key[0] < 0:
+        raise NegativeCoordinateError(f"set depends on coordinate {key[0]} below the base algebra")
+    return eval_shifted(mu, 0, s)
 
 
 def eval_shifted(mu: CylinderMeasure, m: int, s: symbolic.WindowSet) -> Fraction:
     """Value of the grade-m member of the shifted family, phi . S^m.
 
     Requires m <= 0 and the set determined on coordinates >= m.  The set's
-    canonical words are priced at their coordinates minus m; the shifted
-    set itself is never built.
+    canonical words are priced at their coordinates minus m, never building
+    the shifted set; the empty set gets 0 and the full space the total mass.
     """
     if m > 0:
         raise RejectedInputError("grades are nonpositive")
     key = s.canonical_key()
-    if key in (("empty",), ("full",)):
-        return eval0(mu, s)
-    if key[0] < m:
-        raise GradingViolationError(f"set depends on coordinate {key[0]} below grade {m}")
-    # the words are read at their left edge moved m coordinates right, and
-    # that coordinate must stay inside the bound
-    symbolic._check_coordinate(key[0] - m)
+    if len(key) > 1:  # neither the empty set nor the full space
+        if key[0] < m:
+            raise GradingViolationError(f"set depends on coordinate {key[0]} below grade {m}")
+        # the words are read at their left edge moved m coordinates right, and
+        # that coordinate must stay inside the bound
+        symbolic._check_coordinate(key[0] - m)
     if mu.symbols != s.n:
         raise RejectedInputError("set and measure alphabets disagree")
+    if len(key) == 1:  # the full space costs the total mass
+        return exact_sum([mu.cell_value(0, (b,)) for b in range(s.n)]) if key == ("full",) else ZERO
     return _cell_sum(mu, s.n, key, m)
 
 

@@ -135,7 +135,10 @@ def parse_set(text: str, n: int) -> symbolic.WindowSet:
         take(")")
         return symbolic.WindowSet.cylinder(n, start, cells)
 
-    result = expression()
+    try:
+        result = expression()
+    except RecursionError:
+        raise RejectedInputError("a set literal nests its parentheses too deeply") from None
     take("", what="the end of the literal")
     return result
 

@@ -165,6 +165,8 @@ class FiniteAlgebra:
     """
 
     def __init__(self, n: int, generators: Sequence[symbolic.WindowSet]):
+        if any(g.n != n for g in generators):
+            raise RejectedInputError("operands live over different alphabets")
         self.n = n
         self.generators = tuple(generators)
         lo = min(

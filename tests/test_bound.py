@@ -63,6 +63,8 @@ def markov_form_measures():
         "stationary": measures.stationary_markov(CHAIN_A),
         "bernoulli": measures.BernoulliMeasure((F(1, 3), F(2, 3))),
         "cesaro of markov": measures.cesaro(UNIFORM_CHAIN, 2),
+        "convex of chains sharing one matrix": measures.ConvexMeasure(
+            (F(1, 3), F(2, 3)), (UNIFORM_CHAIN, measures.MarkovMeasure((F(1, 5), F(4, 5)), CHAIN_A))),
     }
 
 
@@ -120,7 +122,8 @@ class TestDecisionTables:
 
     def test_a_measure_without_a_table_is_not_priced_again(self, monkeypatch):
         # takes is asked at a price the walk already holds above 0, so a
-        # point mass answers no unpriced, and a mix prices only such a part
+        # point mass answers no unpriced, and so does a mix of such parts
+        # alone; a mix with a part that may take prices only the others
         point = measures.DiracMeasure(2, (0, 1))
         mix = measures.ConvexMeasure((F(1, 2), F(1, 2)), (UNIFORM_CHAIN, point))
         words = []
@@ -128,6 +131,7 @@ class TestDecisionTables:
         monkeypatch.setattr(measures.DiracMeasure, "cell_value",
                             lambda self, lo, word: words.append(word) or price(self, lo, word))
         assert not point.takes(0, (0,), 1)
+        assert not measures.cesaro(point, 2).takes(0, (0,), 1)
         assert words == []
         assert UNIFORM_CHAIN.takes(0, (1,), 1) and mix.takes(0, (1,), 1)
         assert words == [(1,)]
@@ -165,6 +169,23 @@ class TestDecisionTables:
         tables = [avg.table(at) for at in range(3)]
         assert len({table.rho for table in tables}) == 3
         assert avg.table(1) is tables[1]
+
+    def test_a_mix_of_chains_sharing_one_matrix_has_the_mixed_table(self):
+        # w1 * rho1[w0] * T(w) + w2 * rho2[w0] * T(w) is rho[w0] * T(w) with
+        # rho = w1 * rho1 + w2 * rho2; other matrices leave the mix without one
+        other = measures.MarkovMeasure((F(1, 5), F(4, 5)), CHAIN_A)
+        mix = measures.ConvexMeasure((F(1, 3), F(2, 3)), (UNIFORM_CHAIN, other))
+        for at in range(3):
+            rho = tuple(F(1, 3) * x + F(2, 3) * y
+                        for x, y in zip(UNIFORM_CHAIN.table(at).rho, other.table(at).rho))
+            table, reference = mix.table(at), measures.DecisionTable(rho, CHAIN_A)
+            assert (table.rho, table.a) == (rho, CHAIN_A)
+            assert [table.takes(s, k) for k in range(8) for s in (0, 1)] == [
+                reference.takes(s, k) for k in range(8) for s in (0, 1)]
+            assert table.rows == reference.rows
+            assert mix.takes(at, (0, 1), 5) == reference.takes(0, 5)
+        product = measures.BernoulliMeasure((F(1, 3), F(2, 3)))
+        assert measures.ConvexMeasure((F(1, 2), F(1, 2)), (UNIFORM_CHAIN, product)).table(0) is None
 
     def test_cesaro_of_a_point_mass_has_no_table(self):
         avg = measures.cesaro(measures.DiracMeasure(2, (0, 1)), 2)
@@ -275,7 +296,8 @@ class TestLazyFrame:
 
 
 KINDS = ("dirac", "markov", "bernoulli", "cesaro", "convex", "stationary", "cesaro of markov",
-         "convex of convex", "convex with a Cesàro of a chain")
+         "convex of convex", "convex with a Cesàro of a chain",
+         "convex of chains sharing one matrix")
 
 
 def draw_measure(rng, kind):
@@ -289,6 +311,10 @@ def draw_measure(rng, kind):
     if kind == "convex of convex":
         return measures.ConvexMeasure((F(1, 3), F(2, 3)), (suites.random_measure(rng, 2, "convex"),
                                                            draw_measure(rng, "markov")))
+    if kind == "convex of chains sharing one matrix":
+        a = suites.random_stochastic_matrix(rng, 2)
+        return measures.ConvexMeasure((F(1, 4), F(3, 4)), [
+            measures.MarkovMeasure(suites.random_distribution(rng, 2), a) for _ in range(2)])
     if kind == "convex with a Cesàro of a chain":
         return measures.ConvexMeasure((F(1, 4), F(3, 4)), (draw_measure(rng, "cesaro of markov"),
                                                            draw_measure(rng, "bernoulli")))

@@ -463,6 +463,9 @@ MALFORMED = [
      "A has 1 states, not the alphabet's 2"),
     # bytes stand for the file itself, which is not JSON
     ("eval", (), b"{not json", "cannot read the spec file {path!r}"),
+    # a literal nested past the recursion limit once exited 4 with RecursionError
+    pytest.param("eval", ("commands", "eval", "set"), "union(" * 1000 + "cyl(0,[0])" + ")" * 1000,
+                 "a set literal nests its parentheses too deeply", id="eval-nested-literal"),
 ]
 
 

@@ -60,9 +60,11 @@ class TestAnchors:
         assert cert.witness.entries == ()
 
     def test_signed_measures_rejected(self):
-        signed = measures.SignedDiffMeasure(ALT, F(1), BernoulliMeasure((F(1, 2), F(1, 2))))
-        with pytest.raises(RejectedInputError):
-            phi_truncated(X, signed, TruncationConfig(1))
+        # a zero scale leaves psi alone, and the difference still stays signed
+        for c in (F(1), F(0)):
+            signed = measures.SignedDiffMeasure(ALT, c, BernoulliMeasure((F(1, 2), F(1, 2))))
+            with pytest.raises(RejectedInputError, match="needs a nonnegative measure"):
+                phi_truncated(X, signed, TruncationConfig(1))
 
 
 class TestOracleEquality:

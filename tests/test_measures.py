@@ -243,6 +243,30 @@ def test_signed_difference_linearity():
         assert eval0(diff, s) == eval0(psi, s) - F(3, 2) * eval0(phi, s)
 
 
+def test_the_mix_kinds_only_check_and_name_their_inputs():
+    # pricing, denominators and bounds live in one mix; each kind keeps its
+    # attributes, repr and messages, in their old order
+    point, coin = ALT, BernoulliMeasure((F(1, 2), F(1, 2)))
+    for kind in (measures.CesaroMeasure, measures.ConvexMeasure, SignedDiffMeasure):
+        assert {name for name, v in vars(kind).items() if callable(v)} == {"__init__", "__repr__"}
+    avg, diff = cesaro(point, 2), SignedDiffMeasure(point, F(1, 2), coin)
+    assert (avg.base, avg.n, diff.psi, diff.c, diff.phi) == (point, 2, point, F(1, 2), coin)
+    assert repr(avg) == "CesaroMeasure(DiracMeasure(2, (0, 1), ()), 2)"
+    assert repr(diff) == ("SignedDiffMeasure(DiracMeasure(2, (0, 1), ()), 1/2, "
+                          "BernoulliMeasure((Fraction(1, 2), Fraction(1, 2))))")
+    three = DiracMeasure(3, (0,))
+    for make, message in (
+        (lambda: measures.ConvexMeasure((F(1),), (point, three)), "weights and parts disagree"),
+        (lambda: measures.ConvexMeasure((F(1), F(1)), (point, three)), "weights are not convex"),
+        (lambda: measures.ConvexMeasure((F(1), F(0)), (point, three)), "different alphabets"),
+        (lambda: SignedDiffMeasure(point, F(-1), three), "scale must be nonnegative"),
+        (lambda: SignedDiffMeasure(point, F(0), three), "different alphabets"),
+        (lambda: cesaro(point, 0), "average length must be positive"),
+    ):
+        with pytest.raises(RejectedInputError, match=message):
+            make()
+
+
 def test_signed_difference_goes_negative():
     diff = SignedDiffMeasure(ALT, F(2), BernoulliMeasure((F(1, 2), F(1, 2))))
     assert eval0(diff, WindowSet.full_space(2)) == -1

@@ -67,10 +67,16 @@ def test_eval_shifted_sums_the_refined_cells(case):
 
 
 def product_cell(mu, lo, word):
-    """Cell value as the textbook product, one Fraction factor per symbol."""
+    """Cell value as the textbook product, one Fraction factor per symbol; a
+    mix is priced from its parts, each read at its own coordinate."""
     if isinstance(mu, measures.ConvexMeasure):
         return sum((w * product_cell(part, lo, word) for w, part in zip(mu.weights, mu.parts)),
                    measures.ZERO)
+    if isinstance(mu, measures.CesaroMeasure):
+        return sum((product_cell(mu.base, lo + j, word) for j in range(mu.n + 1)),
+                   measures.ZERO) / (mu.n + 1)
+    if isinstance(mu, measures.SignedDiffMeasure):
+        return product_cell(mu.psi, lo, word) - mu.c * product_cell(mu.phi, lo, word)
     if isinstance(mu, measures.BernoulliMeasure):
         value = measures.ONE
         for symbol in word:
@@ -88,11 +94,24 @@ def product_cell(mu, lo, word):
     return mu.cell_value(lo, word)
 
 
+def drawn(rng, n, kind):
+    """A measure of ``kind``; the mixes hold chains, so their parts' products
+    depend on the coordinate each is read at."""
+    if kind == "cesaro of markov":
+        return measures.cesaro(suites.random_measure(rng, n, "markov"), rng.randint(1, 3))
+    if kind == "signed":
+        return measures.SignedDiffMeasure(drawn(rng, n, "cesaro of markov"),
+                                          Fraction(rng.randint(0, 4), 2),
+                                          suites.random_measure(rng, n, "convex"))
+    return suites.random_measure(rng, n, kind)
+
+
 @SETTINGS
-@given(st.integers(1, 3), st.sampled_from(["markov", "bernoulli", "convex"]),
+@given(st.integers(1, 3),
+       st.sampled_from(["markov", "bernoulli", "convex", "cesaro", "cesaro of markov", "signed"]),
        st.integers(0, 2**16), st.integers(0, 4), st.lists(st.integers(0, 2), min_size=1, max_size=6))
 def test_product_cells_match_the_fraction_products(n, kind, seed, lo, word):
-    mu = suites.random_measure(random.Random(seed), n, kind)
+    mu = drawn(random.Random(seed), n, kind)
     word = tuple(symbol % n for symbol in word)
     value = mu.cell_value(lo, word)
     assert type(value) is measures.Fraction

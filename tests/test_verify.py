@@ -99,6 +99,13 @@ class TestFiniteAlgebra:
         with pytest.raises(TooLargeError):
             FiniteAlgebra(2, gens)
 
+    def test_generators_over_another_alphabet_are_rejected(self):
+        # these once gave only {empty, full}, and a member
+        # union(cyl(0,[0]), cyl(0,[2])) read over 3 symbols
+        for n, other in ((2, 3), (3, 2)):
+            with pytest.raises(RejectedInputError, match="operands live over different alphabets"):
+                FiniteAlgebra(n, [WindowSet.cylinder(other, 0, [other - 1])])
+
 
 class TestCaratheodorySplitting:
     def test_additive_measure_splits_everything(self):
