@@ -147,6 +147,9 @@ def psi_eps_grid(
 
 
 def _chain(q, phi, objectives, eps, cfg):
+    """The levels share one query and one truncation, so they walk one frame
+    through one ``prices`` table that lives as long as this call
+    (:class:`engine.RootFront`); the surrogate is a solve of its own."""
     eps = Fraction(eps)
     if eps <= 0:
         raise RejectedInputError("slack must be positive")
@@ -154,16 +157,14 @@ def _chain(q, phi, objectives, eps, cfg):
         raise DimensionCapError(
             f"chain of length {len(objectives)} beyond the cap (budgeted.CHAIN_CAP = {CHAIN_CAP})"
         )
-    surrogate = engine.phi_truncated(q, phi, cfg).value
-    constraints: list[tuple[measures.CylinderMeasure, Fraction]] = [
-        (phi, surrogate + eps)
-    ]
+    comps, bounds = [phi], [engine.phi_truncated(q, phi, cfg).value + eps]
+    prices = {"frame": engine.build_frame(q, cfg)}
     certs = []
     for objective in objectives:
-        problem = BudgetedProblem(q, objective, tuple(constraints), cfg)
-        cert = psi_budgeted(problem)
+        cert = engine.RootFront(q, [objective] + comps, cfg, prune, prices=prices).cheapest(bounds)
         certs.append(cert)
-        constraints.append((objective, cert.value + eps))
+        comps.append(objective)
+        bounds.append(cert.value + eps)
     return certs
 
 
@@ -175,7 +176,9 @@ def psi_chain(
     cfg: TruncationConfig,
 ) -> list[ValueCertificate]:
     """Inductive chain: each level's optimum plus the slack becomes the next
-    level's budget.  Level k is a Pareto problem with k+1 cost components."""
+    level's budget.  Level k is a Pareto problem with k+1 cost components.
+    The levels share one frame: a node is priced once per measure, and a
+    witness re-checked once, for the whole chain."""
     return _chain(q, phi, list(psi_list), eps, cfg)
 
 

@@ -122,7 +122,7 @@ def build_frame(
     floor0 = 0 if base_graded else cfg.base_shift
     qlo, qhi = _edges(q, floor0)
     wlo, whi = _window(cfg, floor0, qlo, qhi)
-    cells = tuple(q.ranks_on(symbolic.Window(min(qlo, floor0), whi)))
+    cells = tuple(q.ranks_on(symbolic._window(min(qlo, floor0), whi)))
     return Frame(q.n, cfg.depth, cfg.base_shift, floor0, qlo, wlo, whi, cells)
 
 
@@ -190,9 +190,9 @@ class _Walk:
     """
 
     __slots__ = ("n", "comps", "dens", "keep", "qlo", "floor_d", "whi", "at", "bounded",
-                 "count", "memo")
+                 "count", "memo", "prices")
 
-    def __init__(self, frame: Frame, comps, keep, memo):
+    def __init__(self, frame: Frame, comps, keep, memo, prices):
         self.n, self.comps, self.keep = frame.n, comps, keep
         self.qlo, self.whi = frame.qlo, frame.whi  # a node with floor <= qlo is full
         self.floor_d = frame.floor(-frame.depth)
@@ -200,7 +200,7 @@ class _Walk:
         symbolic._check_coordinate(self.at)  # as pricing does, before a measure reads it
         self.dens = tuple([mu.denominator(self.at, self.whi - self.floor_d + 1) for mu in comps])
         self.bounded = all(mu.nonnegative for mu in comps)  # a signed walk is never bounded
-        self.count = 0
+        self.count, self.prices = 0, prices
         self.memo = None if memo is None else memo.setdefault(
             (self.at, self.floor_d, self.whi, self.dens), {})
 
@@ -217,16 +217,20 @@ class _Walk:
             raise BudgetExceededError(
                 f"refinement tree exceeded the node cap (engine.NODE_CAP = {NODE_CAP})"
             )
-        n, at, span = self.n, self.at, self.whi - floor + 1
-        cyl = symbolic.WindowSet.ranked_cylinder(n, floor, span, rank)
-        shift = floor - at
-        take = []
+        n, at, span, prices = self.n, self.at, self.whi - floor + 1, self.prices
+        cyl, take = None, []
         for mu, d in zip(self.comps, self.dens):
-            price = measures.eval_shifted(mu, shift, cyl)
-            scale, rest = divmod(d, price.denominator)
-            if rest:
-                raise CertificateError(f"{mu!r} prices {price}, finer than its denominator {d}")
-            take.append(price.numerator * scale)
+            num = None if prices is None else prices.get((mu, floor, rank))
+            if num is None:
+                cyl = cyl or symbolic.WindowSet.ranked_cylinder(n, floor, span, rank)
+                price = measures.eval_shifted(mu, floor - at, cyl)
+                scale, rest = divmod(d, price.denominator)
+                if rest:
+                    raise CertificateError(f"{mu!r} prices {price}, finer than its denominator {d}")
+                num = price.numerator * scale
+                if prices is not None:
+                    prices[(mu, floor, rank)] = num
+            take.append(num)
         take = tuple(take)
         front = [(take, (floor, rank))]
         k = floor - self.floor_d  # levels below the node
@@ -252,7 +256,7 @@ class _Walk:
         return front
 
 
-def _walk(frame: Frame, comps, keep, *, memo=None):
+def _walk(frame: Frame, comps, keep, *, memo=None, prices=None):
     """Root front of (cost vector, trace) options of the take-or-split tree,
     as a tuple.
 
@@ -261,7 +265,8 @@ def _walk(frame: Frame, comps, keep, *, memo=None):
     nodes together make up a sum of options.  A frame with no cells has the
     single option of the empty cover, at cost 0 in every component.  A
     ``memo`` shared by walks of the same ``comps`` and ``keep`` lets them
-    share the fronts of full nodes and leaves (:class:`_Walk`).
+    share the fronts of full nodes and leaves (:class:`_Walk`); walks given
+    one ``prices`` table share each node's numerator under each measure.
     """
     size = frame.n ** (frame.whi - frame.floor0 + 1)
     roots: dict[int, list] = {}
@@ -269,7 +274,7 @@ def _walk(frame: Frame, comps, keep, *, memo=None):
         roots.setdefault(cell % size, []).append(cell)
     if not roots:
         return (((ZERO,) * len(comps), ()),)
-    walk = _Walk(frame, comps, keep, memo)
+    walk = _Walk(frame, comps, keep, memo, prices)
     front = _combine([walk.node(r, c, frame.floor0) for r, c in sorted(roots.items())], keep)
     return tuple((tuple(map(Fraction, vec, walk.dens)), trace) for vec, trace in front)
 
@@ -310,13 +315,18 @@ class RootFront:
     Certificates of the scalar keep rule carry no cost vector; those of
     every other keep rule carry it.  Walks given one ``memo``, which must
     share ``comps`` and ``keep``, share the fronts of full nodes and leaves.
+    Roots given one ``prices`` table walk the frame it holds under "frame",
+    so must share ``q``, ``cfg`` and ``base_graded``; they share each node's
+    price, each witness's validation and its price under each measure, and
+    every certificate still compares its own vector with those prices.
     """
 
-    def __init__(self, q, comps, cfg, keep, base_graded=False, *, memo=None):
+    def __init__(self, q, comps, cfg, keep, base_graded=False, *, memo=None, prices=None):
         self.q, self.comps, self.cfg, self.base_graded = q, comps, cfg, base_graded
         self.vector = keep is not _cheapest
-        self.frame = build_frame(q, cfg, base_graded)
-        self.options = _walk(self.frame, comps, keep, memo=memo)
+        self.prices = prices
+        self.frame = build_frame(q, cfg, base_graded) if prices is None else prices["frame"]
+        self.options = _walk(self.frame, comps, keep, memo=memo, prices=prices)
         self._certificates: dict[int, ValueCertificate] = {}
 
     def certificate(self, k: int) -> ValueCertificate:
@@ -353,7 +363,7 @@ def _witness(root: RootFront, trace) -> Cover:
         per_floor.setdefault(floor, []).append(rank)
     entries = []
     for floor in sorted(per_floor, reverse=True):
-        window = symbolic.Window(floor, frame.whi)
+        window = symbolic._window(floor, frame.whi)
         entry = symbolic.WindowSet.from_ranks(frame.n, window, per_floor[floor]).canonicalize()
         entries.append((floor - frame.floor0, entry))
     if root.base_graded:
@@ -366,10 +376,18 @@ def _certificate(root: RootFront, option) -> ValueCertificate:
     re-priced on every cost component through the window-set path."""
     vec, trace = option
     witness = _witness(root, trace)
-    if not covers.is_valid_cover(root.q, witness):
-        raise CertificateError("the witness is not a graded cover of the query")
+    prices = root.prices
+    if prices is None or witness not in prices:
+        if not covers.is_valid_cover(root.q, witness):
+            raise CertificateError("the witness is not a graded cover of the query")
+        if prices is not None:
+            prices[witness] = True
     for k, mu in enumerate(root.comps):
-        price = covers.cover_cost(witness, mu)
+        price = None if prices is None else prices.get((witness, mu))
+        if price is None:
+            price = covers.cover_cost(witness, mu)
+            if prices is not None:
+                prices[(witness, mu)] = price
         if price != vec[k]:
             raise CertificateError(
                 f"the witness prices cost component {k} at {price}, not {vec[k]}"

@@ -39,6 +39,7 @@ from .errors import (
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+MIX_DEPTH_CAP = 100  # levels a mix of mixes nests; pricing recurses once per level
 
 
 def _as_fraction(x) -> Fraction:
@@ -252,6 +253,10 @@ class _Mix(CylinderMeasure):
     def __init__(self, weights, parts, offsets):
         if len({part.symbols for part in parts}) != 1:
             raise RejectedInputError("parts live over different alphabets")
+        self._depth = 1 + max(getattr(part, "_depth", 0) for part in parts)
+        if self._depth > MIX_DEPTH_CAP:
+            raise RejectedInputError(
+                f"a mix nests {self._depth} levels deep (measures.MIX_DEPTH_CAP = {MIX_DEPTH_CAP})")
         self.symbols = parts[0].symbols
         # a kind that declares itself signed stays signed whatever its weights
         self.nonnegative = self.nonnegative and all(

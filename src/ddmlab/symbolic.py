@@ -224,7 +224,9 @@ class WindowSet:
             return self
         if isinstance(bits, _Node):
             return _TreeSet(self.n, _window(lo, hi), bits)
-        return WindowSet(self.n, _window(lo, hi), bits)
+        s = WindowSet(self.n, _window(lo, hi), bits)
+        object.__setattr__(s, "_key", key)  # a canonical set is its own key
+        return s
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, WindowSet):

@@ -267,6 +267,25 @@ def test_the_mix_kinds_only_check_and_name_their_inputs():
             make()
 
 
+def test_a_mix_nested_past_the_cap_is_an_input_error():
+    # a mix nests as deep as Python lets pricing recurse only up to the cap;
+    # one level more is rejected when it is built, not by a RecursionError
+    # from eval0 or denominator
+    base = BernoulliMeasure((F(1, 3), F(2, 3)))
+    mu, built = base, 0
+    with pytest.raises(RejectedInputError, match=r"\(measures\.MIX_DEPTH_CAP = 100\)"):
+        for _ in range(1200):
+            mu = measures.ConvexMeasure((1,), (mu,))
+            built += 1
+    assert built == measures.MIX_DEPTH_CAP
+    s = cyl(0, 1, 0)
+    assert eval0(mu, s) == eval0(base, s) == F(2, 9)
+    assert mu.denominator(0, 1) == base.denominator(0, 1)
+    for kind in (lambda m: cesaro(m, 1), lambda m: SignedDiffMeasure(m, F(1, 2), base)):
+        with pytest.raises(RejectedInputError, match="MIX_DEPTH_CAP"):
+            kind(mu)
+
+
 def test_signed_difference_goes_negative():
     diff = SignedDiffMeasure(ALT, F(2), BernoulliMeasure((F(1, 2), F(1, 2))))
     assert eval0(diff, WindowSet.full_space(2)) == -1

@@ -226,3 +226,40 @@ def test_each_measure_answers_its_own_bound():
         for node in cls.body if isinstance(node, ast.FunctionDef) and node.name == "transfer"
     ]
     assert found == []
+
+
+def test_price_tables_are_owned_by_the_chain_alone():
+    """A table of node prices and witness checks lives in one
+    ``budgeted._chain`` call, whose levels share one query and one
+    truncation, and reaches the walk and the certificate through
+    ``engine.RootFront``; neither ``engine`` nor ``budgeted`` keeps one at
+    module level, where it would serve a later chain, on another query,
+    from another chain's frame and prices."""
+    from ddmlab import budgeted, engine
+
+    root = Path(ddmlab.__file__).parent
+    owners = []
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        owners += [
+            (path.name, scope.name)
+            for scope in ast.walk(tree) if isinstance(scope, ast.FunctionDef)
+            for node in ast.walk(scope)
+            if isinstance(node, ast.Call) and any(k.arg == "prices" for k in node.keywords)
+        ]
+    # RootFront.__init__ hands its own parameter to the walk
+    assert sorted(set(owners)) == [("budgeted.py", "_chain"), ("engine.py", "__init__")]
+    for fn in (engine._walk, engine.RootFront):
+        param = inspect.signature(fn).parameters["prices"]
+        assert (param.kind, param.default) == (inspect.Parameter.KEYWORD_ONLY, None)
+    # the memo test above checks ``engine`` for a module-level cache
+    tree = ast.parse((root / "budgeted.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        value = getattr(node, "value", None)
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and value is not None:
+            called = getattr(getattr(value, "func", None), "id", None)
+            assert not isinstance(value, (ast.Dict, ast.DictComp)), ast.dump(node)
+            assert called not in ("dict", "defaultdict", "OrderedDict"), ast.dump(node)
+    held = [name for name, value in vars(budgeted).items()
+            if not name.startswith("__") and isinstance(value, dict)]
+    assert held == []

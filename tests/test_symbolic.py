@@ -220,6 +220,25 @@ class TestBornCanonical:
         for degenerate in (X, EMPTY):
             assert degenerate.canonicalize() is degenerate
 
+    def test_a_canonical_bitset_set_is_born_with_its_key(self, monkeypatch):
+        # the key of the set canonicalize makes is the key it just computed,
+        # so neither the set nor a union of such sets computes it again
+        rng = random.Random(13)
+        sets = [random_set(rng) for _ in range(200)]
+        made = [s.canonicalize() for s in sets]
+        for s, c in zip(sets, made):
+            if c.window is not None:
+                assert c._key == symbolic._canonical_key(c.n, c.window, c.bits, c._full)
+        computed = []
+        key = symbolic._canonical_key
+        monkeypatch.setattr(symbolic, "_canonical_key",
+                            lambda *args: computed.append(1) or key(*args))
+        u = symbolic.union(cyl(0, 0, 1), cyl(0, 0, 0))
+        assert len(computed) == 1  # the union's result on [0, 1], once
+        assert u.window == Window(0, 0)
+        assert u.canonical_key() == key(u.n, u.window, u.bits, u._full)
+        assert len(computed) == 1
+
     def test_redundant_set_canonicalizes_to_an_equal_new_set(self):
         wide = symbolic.refine(cyl(0, 1), Window(-2, 2))
         c = wide.canonicalize()
