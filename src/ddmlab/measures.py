@@ -211,6 +211,7 @@ class DiracMeasure(CylinderMeasure):
         bad += [s for _, s in self.exceptions if not 0 <= s < self.symbols]
         if bad:
             raise RejectedInputError(f"symbols {bad} outside the alphabet")
+        self._words: dict[tuple[int, int], tuple[int, ...]] = {}  # the point on a window
 
     def __repr__(self):
         return f"DiracMeasure({self.symbols}, {self.period}, {self.exceptions})"
@@ -225,10 +226,13 @@ class DiracMeasure(CylinderMeasure):
         return 1
 
     def cell_value(self, lo: int, word: tuple[int, ...]) -> Fraction:
-        for offset, symbol in enumerate(word):
-            if self.point_at(lo + offset) != symbol:
-                return ZERO
-        return ONE
+        """1 when the point's word on [lo, lo + len(word) - 1], kept per
+        (lo, length), is ``word``, else 0."""
+        key = (lo, len(word))
+        point = self._words.get(key)
+        if point is None:
+            point = self._words[key] = tuple(map(self.point_at, range(lo, lo + key[1])))
+        return ONE if point == tuple(word) else ZERO
 
 
 class BernoulliMeasure(MarkovMeasure):

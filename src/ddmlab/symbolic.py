@@ -28,6 +28,17 @@ Equal subtrees are one shared object, so a deep cylinder costs one node
 per coordinate and equality is identity.  A wide set supports the set
 algebra, canonical form, shift, projection and pricing by its cylinders;
 listing its words or its bitset stays under the MAX_CELLS cap.
+
+Values that the take-or-split walk asks for again and again are shared
+process-wide, like windows and tree nodes: one single-word cylinder per
+(n, start, span, rank) from ``WindowSet.ranked_cylinder``, and one word
+tuple per (n, span, rank) from ``rank_word``.  Each table keeps at most
+SHARED_CAP values, each on a window of at most SHARED_CAP words, and a
+cylinder only while its window fits a bitset (TREE_CELLS, read at call
+time), so both together hold at most about 3.3 MB, as measured with both
+full of values on 4,096-word windows.  A full table still answers, building
+values it does not keep; none evicts, so the same calls always leave the
+same tables.  The engine keeps no cache of its own.
 """
 
 from __future__ import annotations
@@ -44,6 +55,7 @@ from .errors import BitsetCapError, RejectedInputError
 MAX_ABS_COORDINATE = 64
 MAX_CELLS = 1 << 22  # the bitset cap: most words a set lists or a bitset holds
 TREE_CELLS = 1 << 16  # a canonical window of more words keeps its set as a tree
+SHARED_CAP = 4096  # most values a shared table keeps, and most words on their windows
 
 
 def _check_coordinate(c: int) -> None:
@@ -105,11 +117,23 @@ def word_rank(n: int, word: tuple[int, ...]) -> int:
     return r
 
 
+# one shared word per (n, span, rank) and one shared single-word cylinder per
+# (n, start, span, rank), kept on windows of at most SHARED_CAP words while the
+# table holds fewer than SHARED_CAP values
+_WORDS: dict[tuple[int, int, int], tuple[int, ...]] = {}
+_CYLINDERS: dict[tuple[int, int, int, int], "WindowSet"] = {}
+
+
 def rank_word(n: int, span: int, rank: int) -> tuple[int, ...]:
-    out = [0] * span
-    for j in range(span - 1, -1, -1):
-        rank, out[j] = divmod(rank, n)
-    return tuple(out)
+    word = _WORDS.get((n, span, rank))
+    if word is None:
+        out, r = [0] * span, rank
+        for j in range(span - 1, -1, -1):
+            r, out[j] = divmod(r, n)
+        word = tuple(out)
+        if len(_WORDS) < SHARED_CAP and 0 <= rank < n ** span <= SHARED_CAP:
+            _WORDS[(n, span, rank)] = word
+    return word
 
 
 class WindowSet:
@@ -163,20 +187,25 @@ class WindowSet:
     def ranked_cylinder(cls, n: int, start: int, span: int, rank: int) -> "WindowSet":
         """The set of the word of ``rank`` on [start, start + span - 1], born
         with its canonical key: one word has no redundant end coordinate,
-        and over one symbol it is the full space."""
+        and over one symbol it is the full space.  A bitset cylinder is
+        shared process-wide while its table has room."""
         if span < 1:
             raise RejectedInputError("cylinder needs at least one symbol")
         window = _window(start, start + span - 1)
-        if not 0 <= rank < n ** span:
+        size = n ** span
+        if not 0 <= rank < size:
             raise RejectedInputError(f"rank {rank} outside the words of a {span}-coordinate window")
-        if n ** span > TREE_CELLS:
+        if size > TREE_CELLS:
             s = _TreeSet(n, window, _ranks_tree(n, [rank], span))
-            key = (start, window.hi, s.bits)
-        else:
+            object.__setattr__(s, "_key", (start, window.hi, s.bits))
+            return s
+        s = _CYLINDERS.get((n, start, span, rank))
+        if s is None:
             bits = 1 << rank
             s = cls(n, window, bits)
-            key = (start, window.hi, bits) if n > 1 else ("full",)
-        object.__setattr__(s, "_key", key)
+            object.__setattr__(s, "_key", (start, window.hi, bits) if n > 1 else ("full",))
+            if len(_CYLINDERS) < SHARED_CAP and size <= SHARED_CAP:
+                _CYLINDERS[(n, start, span, rank)] = s
         return s
 
     @classmethod

@@ -263,3 +263,46 @@ def test_price_tables_are_owned_by_the_chain_alone():
     held = [name for name, value in vars(budgeted).items()
             if not name.startswith("__") and isinstance(value, dict)]
     assert held == []
+
+
+def test_symbolic_shares_values_only_in_capped_tables():
+    """``symbolic`` keeps process-wide tables of windows, tree nodes, words
+    and single-word cylinders, and no other: the node table is weak, the
+    window table holds only windows inside the coordinate bound, ``_OPS`` is
+    the fixed table of the set operations, and every insertion into the
+    word and cylinder tables sits behind ``SHARED_CAP``.  An unbounded
+    process-wide cache would serve repeated solves, such as a benchmark's
+    passes, from ever more memory."""
+    import weakref
+
+    from ddmlab import symbolic
+
+    held = {name for name, value in vars(symbolic).items()
+            if not name.startswith("__") and isinstance(value, dict)}
+    assert held == {"_OPS", "_WINDOWS", "_WORDS", "_CYLINDERS"}
+    assert isinstance(symbolic._NODES, weakref.WeakValueDictionary)
+
+    root = Path(ddmlab.__file__).parent
+    tree = ast.parse((root / "symbolic.py").read_text(encoding="utf-8"))
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+
+    def capped(node):
+        while node in parents:
+            node = parents[node]
+            if isinstance(node, ast.If) and any(
+                    getattr(name, "id", None) == "SHARED_CAP" for name in ast.walk(node.test)):
+                return True
+        return False
+
+    stores, found = [], []
+    for node in ast.walk(tree):
+        table = getattr(getattr(node, "value", None), "id", None)
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+            stores.append(table)
+            if table == "_OPS" or (table in ("_WORDS", "_CYLINDERS") and not capped(node)):
+                found.append(f"symbolic.py:{node.lineno} {table}[...] =")
+        elif isinstance(node, ast.Attribute) and table in ("_OPS", "_WORDS", "_CYLINDERS"):
+            if node.attr != "get":
+                found.append(f"symbolic.py:{node.lineno} {table}.{node.attr}")
+    assert found == []
+    assert {"_WORDS", "_CYLINDERS"} <= set(stores)
