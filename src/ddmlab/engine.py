@@ -160,8 +160,13 @@ def _combine(fronts, keep):
     """Minkowski sum of child fronts, each partial sum reduced by ``keep``.
 
     A translate of an antichain is an antichain in the same sorted order,
-    so a sum with a one-vector factor is left as it is.
+    so a sum with a one-vector factor is left as it is.  Three or more
+    fronts of one option each, as at a depth-0 root, sum in one pass to one
+    option whose trace is the tuple of theirs; the loop is quicker for two.
     """
+    if len(fronts) > 2 and max(map(len, fronts)) == 1:
+        vecs, traces = zip(*[front[0] for front in fronts])
+        return [(tuple(map(sum, zip(*vecs))), traces)]
     acc = fronts[0]
     for front in fronts[1:]:
         nxt = [
@@ -261,7 +266,7 @@ def _walk(frame: Frame, comps, keep, *, memo=None, prices=None):
     as a tuple.
 
     A vector has one component per measure of ``comps``.  A trace is either
-    the pair (floor, rank) of a taken node or a pair of traces, whose taken
+    the pair (floor, rank) of a taken node or a tuple of traces, whose taken
     nodes together make up a sum of options.  A frame with no cells has the
     single option of the empty cover, at cost 0 in every component.  A
     ``memo`` shared by walks of the same ``comps`` and ``keep`` lets them
@@ -295,7 +300,8 @@ def _take_attains(comps, take, k, at, n, span, rank):
 
 
 def _taken(trace):
-    """The (floor, rank) nodes taken in a trace; none in the empty trace."""
+    """The (floor, rank) nodes taken in a trace, read through every tuple of
+    traces; none in the empty trace."""
     out = []
     stack = [trace] if trace else []
     while stack:
@@ -437,7 +443,7 @@ def phi_paren_truncated(
 
 
 def _dense_cells(q: symbolic.WindowSet, frame: Frame) -> list[int]:
-    return list(q.ranks_on(symbolic.Window(frame.wlo, frame.whi)))
+    return q.ranks_on(symbolic.Window(frame.wlo, frame.whi))
 
 
 def _group_by_suffix(frame: Frame, cells, position):

@@ -9,8 +9,12 @@ and a mix of parts in Markov form with one matrix is in Markov form too.
 
 The graded family attached to a base measure phi is phi_m = phi . S^m for
 m <= 0, evaluated through :func:`eval_shifted`.  Shifted pricing never
-builds the shifted set: it reads the set's canonical words once and prices
-each at its coordinate minus m, so a set costs O(words x word length).
+builds the shifted set: it reads the set's canonical words once at their
+coordinate minus m, so a set costs O(words x word length).  One word is
+priced by :meth:`CylinderMeasure.cell_value`, a tree by its cylinders' cell
+values, and a multi-word bitset by one :meth:`CylinderMeasure.set_value`
+call: a chain adds path products over one denominator, a point mass tests
+one bit, a mix weighs its parts' set values, and other kinds sum cells.
 
 A measure is in Markov form at a coordinate when it prices every word read
 there as rho[w0] * prod a[wk][wk+1], with one fixed vector and matrix.  The
@@ -97,6 +101,11 @@ class CylinderMeasure:
     def cell_value(self, lo: int, word: tuple[int, ...]) -> Fraction:
         raise NotImplementedError
 
+    def set_value(self, at: int, n: int, span: int, bits: int) -> Fraction:
+        """Value of the set of the words of ``bits``, ranked over ``n``
+        symbols on [at, at + span - 1]: the sum of their cell values."""
+        return exact_sum([self.cell_value(at, word) for word in _words(n, span, bits)])
+
     def denominator(self, at: int, length: int) -> int:
         """A multiple of the denominator of every cell value of a word of at
         most ``length`` symbols read at ``at``, kept once ``_denominator`` made it."""
@@ -146,10 +155,12 @@ class MarkovMeasure(CylinderMeasure):
                 raise NotStochasticError("matrix row does not sum to one")
         self.symbols = n
         self._marginals = {0: self.pi}
-        # starts and transitions as (numerator, denominator) pairs: a path
-        # product is taken over integers and reduced once
-        self._starts: dict[int, tuple] = {}
-        self._steps = tuple(tuple((x.numerator, x.denominator) for x in row) for row in self.a)
+        # starts and steps as numerators over one denominator per coordinate and
+        # one per step: a path product is an integer over ``_denominator``
+        self._starts: dict[int, tuple[int, tuple[int, ...]]] = {}
+        self._step = math.lcm(*(x.denominator for row in self.a for x in row))
+        self._steps = tuple(tuple(x.numerator * (self._step // x.denominator) for x in row)
+                            for row in self.a)
         self._at: dict[int, DecisionTable] = {}  # coordinate -> table
         self._tables: dict[tuple[Fraction, ...], DecisionTable] = {}  # by marginal
 
@@ -163,8 +174,17 @@ class MarkovMeasure(CylinderMeasure):
         return table
 
     def _denominator(self, at: int, length: int) -> int:
-        start = math.lcm(*(x.denominator for x in self._marginal(at)))
-        return start * math.lcm(*(q for row in self._steps for _, q in row)) ** (length - 1)
+        return self._start(at)[0] * self._step ** (length - 1)
+
+    def _start(self, at: int) -> tuple[int, tuple[int, ...]]:
+        """The lcm of the marginal's denominators at ``at``, and its entries over it."""
+        start = self._starts.get(at)
+        if start is None:
+            marginal = self._marginal(at)
+            den = math.lcm(*(x.denominator for x in marginal))
+            start = self._starts[at] = (den, tuple(x.numerator * (den // x.denominator)
+                                                   for x in marginal))
+        return start
 
     def _marginal(self, lo: int) -> tuple[Fraction, ...]:
         if lo not in self._marginals:
@@ -176,21 +196,24 @@ class MarkovMeasure(CylinderMeasure):
             self._marginals[lo] = cur
         return self._marginals[lo]
 
-    def cell_value(self, lo: int, word: tuple[int, ...]) -> Fraction:
-        starts = self._starts.get(lo)
-        if starts is None:
-            starts = self._starts[lo] = tuple(
-                (x.numerator, x.denominator) for x in self._marginal(lo)
-            )
+    def _path(self, starts: tuple[int, ...], word: tuple[int, ...]) -> int:
+        """``word``'s path product from start numerators ``starts``, over ``_denominator``."""
         prev = word[0]
-        num, den = starts[prev]
+        num = starts[prev]
         steps = self._steps
         for symbol in word[1:]:
-            p, q = steps[prev][symbol]
-            num *= p
-            den *= q
+            num *= steps[prev][symbol]
             prev = symbol
-        return Fraction(num, den)
+        return num
+
+    def cell_value(self, lo: int, word: tuple[int, ...]) -> Fraction:
+        den, starts = self._starts.get(lo) or self._start(lo)
+        return Fraction(self._path(starts, word), den * self._step ** (len(word) - 1))
+
+    def set_value(self, at: int, n: int, span: int, bits: int) -> Fraction:
+        den, starts = self._start(at)
+        total = sum(self._path(starts, word) for word in _words(n, span, bits))
+        return Fraction(total, den * self._step ** (span - 1))
 
 
 class DiracMeasure(CylinderMeasure):
@@ -211,7 +234,8 @@ class DiracMeasure(CylinderMeasure):
         bad += [s for _, s in self.exceptions if not 0 <= s < self.symbols]
         if bad:
             raise RejectedInputError(f"symbols {bad} outside the alphabet")
-        self._words: dict[tuple[int, int], tuple[int, ...]] = {}  # the point on a window
+        # the point's word and its rank on a window, by (lo, length)
+        self._points: dict[tuple[int, int], tuple[tuple[int, ...], int]] = {}
 
     def __repr__(self):
         return f"DiracMeasure({self.symbols}, {self.period}, {self.exceptions})"
@@ -225,14 +249,24 @@ class DiracMeasure(CylinderMeasure):
     def _denominator(self, at: int, length: int) -> int:
         return 1
 
-    def cell_value(self, lo: int, word: tuple[int, ...]) -> Fraction:
-        """1 when the point's word on [lo, lo + len(word) - 1], kept per
-        (lo, length), is ``word``, else 0."""
-        key = (lo, len(word))
-        point = self._words.get(key)
+    def _point(self, lo: int, length: int) -> tuple[tuple[int, ...], int]:
+        """The point's word on [lo, lo + length - 1] and its rank, kept per
+        (lo, length)."""
+        point = self._points.get((lo, length))
         if point is None:
-            point = self._words[key] = tuple(map(self.point_at, range(lo, lo + key[1])))
-        return ONE if point == tuple(word) else ZERO
+            word = tuple(map(self.point_at, range(lo, lo + length)))
+            point = self._points[(lo, length)] = (word, symbolic.word_rank(self.symbols, word))
+        return point
+
+    def cell_value(self, lo: int, word: tuple[int, ...]) -> Fraction:
+        """1 when the point's word on [lo, lo + len(word) - 1] is ``word``,
+        else 0."""
+        point = self._points.get((lo, len(word))) or self._point(lo, len(word))
+        return ONE if point[0] == tuple(word) else ZERO
+
+    def set_value(self, at: int, n: int, span: int, bits: int) -> Fraction:
+        """1 when the bit of the point's word is set, else 0."""
+        return ONE if bits >> self._point(at, span)[1] & 1 else ZERO
 
 
 class BernoulliMeasure(MarkovMeasure):
@@ -301,10 +335,21 @@ class _Mix(CylinderMeasure):
                           for w, part, offset in self._terms))
 
     def cell_value(self, lo: int, word: tuple[int, ...]) -> Fraction:
-        # a part that misses the cell adds nothing; the rest add over one lcm
+        return self._weigh(lo, word, None)
+
+    def set_value(self, at: int, n: int, span: int, bits: int) -> Fraction:
+        return self._weigh(at, None, (n, span, bits))
+
+    def _weigh(self, at: int, word, cells) -> Fraction:
+        """The parts' cell values of ``word``, or set values of ``cells`` = (n,
+        span, bits), each read at ``at`` plus its offset, summed by weight."""
+        # a part that misses the set adds nothing; the rest add over one lcm
         num, den = 0, 1
         for w, part, offset in self._terms:
-            value = part.cell_value(lo + offset, word)
+            if cells is None:
+                value = part.cell_value(at + offset, word)
+            else:
+                value = part.set_value(at + offset, *cells)
             if value:
                 q = w.denominator * value.denominator
                 d = math.lcm(den, q)
@@ -381,21 +426,22 @@ def exact_sum(values) -> Fraction:
     return Fraction(total, d)
 
 
+def _words(n: int, span: int, bits: int) -> list[tuple[int, ...]]:
+    """The words of a bitset over ``n`` symbols on ``span`` coordinates."""
+    return [symbolic.rank_word(n, span, rank) for rank in symbolic.bit_ranks(bits)]
+
+
 def _cell_sum(mu: CylinderMeasure, n: int, key, m: int) -> Fraction:
-    """Sum of the cell values of a canonical key's words, each read m
-    coordinates to the right, in rank order."""
+    """Value of a canonical key's words, read m coordinates to the right: a
+    single word by its cell value, several by one set value, and a tree by
+    the cell values of its cylinders."""
     lo, hi, bits = key
     if not isinstance(bits, int):  # a wide set: price its cylinders
         return exact_sum(mu.cell_value(lo - m, word) for word in symbolic.tree_cells(n, key))
     at, span = lo - m, hi - lo + 1
-    if bits.bit_count() == 1:
-        return mu.cell_value(at, symbolic.rank_word(n, span, bits.bit_length() - 1))
-    values = []
-    while bits:
-        low = bits & -bits
-        values.append(mu.cell_value(at, symbolic.rank_word(n, span, low.bit_length() - 1)))
-        bits ^= low
-    return exact_sum(values)
+    if bits & (bits - 1):
+        return mu.set_value(at, n, span, bits)
+    return mu.cell_value(at, symbolic.rank_word(n, span, bits.bit_length() - 1))
 
 
 def eval0(mu: CylinderMeasure, s: symbolic.WindowSet) -> Fraction:

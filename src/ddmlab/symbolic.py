@@ -47,6 +47,7 @@ import math
 import operator
 import weakref
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product
 from typing import Iterable, Iterator
 
@@ -125,15 +126,29 @@ _CYLINDERS: dict[tuple[int, int, int, int], "WindowSet"] = {}
 
 
 def rank_word(n: int, span: int, rank: int) -> tuple[int, ...]:
+    """The word of ``rank`` on ``span`` coordinates over ``n`` symbols."""
+    size = n ** span
+    if not 0 <= rank < size:
+        raise RejectedInputError(f"rank {rank} outside the words of a {span}-coordinate window")
     word = _WORDS.get((n, span, rank))
     if word is None:
         out, r = [0] * span, rank
         for j in range(span - 1, -1, -1):
             r, out[j] = divmod(r, n)
         word = tuple(out)
-        if len(_WORDS) < SHARED_CAP and 0 <= rank < n ** span <= SHARED_CAP:
+        if len(_WORDS) < SHARED_CAP and size <= SHARED_CAP:
             _WORDS[(n, span, rank)] = word
     return word
+
+
+def bit_ranks(bits: int) -> list[int]:
+    """The ranks of the set bits of ``bits``, ascending."""
+    ranks = []
+    while bits:
+        low = bits & -bits
+        ranks.append(low.bit_length() - 1)
+        bits ^= low
+    return ranks
 
 
 class WindowSet:
@@ -314,14 +329,9 @@ class WindowSet:
             bits = _tree_bits(n, bits, hi - lo + 1, {})
         # extend on the right first: one new least-significant digit at a time
         for _ in range(window.hi - hi):
-            run = (1 << n) - 1
-            new = 0
-            tmp = bits
-            while tmp:
-                low = tmp & -tmp
-                r = low.bit_length() - 1
+            run, new = (1 << n) - 1, 0
+            for r in bit_ranks(bits):
                 new |= run << (r * n)
-                tmp ^= low
             bits = new
             hi += 1
         # then on the left: replicate for each new most-significant digit
@@ -332,14 +342,10 @@ class WindowSet:
             lo -= 1
         return bits
 
-    def ranks_on(self, window: Window) -> Iterator[int]:
-        """Yield the ranks of the member words materialized on ``window``,
+    def ranks_on(self, window: Window) -> list[int]:
+        """The ranks of the member words materialized on ``window``,
         ascending."""
-        bits = self.bits_on(window)
-        while bits:
-            low = bits & -bits
-            yield low.bit_length() - 1
-            bits ^= low
+        return bit_ranks(self.bits_on(window))
 
     def words_on(self, window: Window) -> Iterator[tuple[int, ...]]:
         """Yield the member words materialized on ``window``, rank order."""
@@ -617,35 +623,43 @@ def refine(s: WindowSet, target: Window) -> WindowSet:
     return WindowSet(s.n, target, s.bits_on(target))
 
 
+def _hull(n: int, sets) -> Window | None:
+    """The hull of the canonical windows of a sequence of sets over ``n``
+    symbols; None when every set is degenerate."""
+    if any(s.n != n for s in sets):
+        raise RejectedInputError("operands live over different alphabets")
+    keys = [key for key in (s.canonical_key() for s in sets) if len(key) == 3]
+    return _window(min(k[0] for k in keys), max(k[1] for k in keys)) if keys else None
+
+
+def _on_hull(n: int, sets) -> tuple[Window | None, list[int] | None]:
+    """The sets' :func:`_hull` and each set's bitset on it, None when the
+    hull is None or holds more than TREE_CELLS words: such sets combine as
+    flags or trees, in :func:`set_algebra`."""
+    window = _hull(n, sets)
+    if window is None or n ** window.span > TREE_CELLS:
+        return window, None
+    return window, [s.bits_on(window) for s in sets]
+
+
 def set_algebra(a: WindowSet, b: WindowSet, op: str) -> WindowSet:
     """Exact Boolean combination of two window sets, canonicalized.
 
     ``op`` is one of ``union``, ``intersection``, ``difference``.
     """
-    if a.n != b.n:
-        raise RejectedInputError("operands live over different alphabets")
+    window, bits = _on_hull(a.n, (a, b))
     combine = _OPS.get(op)
     if combine is None:
         raise RejectedInputError(f"unknown set operation {op!r}")
+    if bits is not None:
+        return WindowSet(a.n, window, combine(*bits)).canonicalize()
     ka, kb = a.canonical_key(), b.canonical_key()
-    degens = (("empty",), ("full",))
-    if ka in degens and kb in degens:
-        window = None
-    elif ka in degens:
-        window = _window(kb[0], kb[1])
-    elif kb in degens:
-        window = _window(ka[0], ka[1])
-    else:
-        window = _window(min(ka[0], kb[0]), max(ka[1], kb[1]))
     if window is None:
         if combine(int(ka == ("full",)), int(kb == ("full",))):
             return WindowSet.full_space(a.n)
         return WindowSet.empty(a.n)
-    if a.n ** window.span > TREE_CELLS:
-        u, v = _tree_on(a.n, ka, window.lo), _tree_on(a.n, kb, window.lo)
-        return _TreeSet(a.n, window, _apply(combine, u, v, {})).canonicalize()
-    bits = combine(a.bits_on(window), b.bits_on(window))
-    return WindowSet(a.n, window, bits).canonicalize()
+    u, v = _tree_on(a.n, ka, window.lo), _tree_on(a.n, kb, window.lo)
+    return _TreeSet(a.n, window, _apply(combine, u, v, {})).canonicalize()
 
 
 def union(a: WindowSet, b: WindowSet) -> WindowSet:
@@ -712,24 +726,31 @@ def project_min(s: WindowSet, g: int) -> WindowSet:
 
 
 def meets(a: WindowSet, b: WindowSet) -> bool:
-    return not set_algebra(a, b, "intersection").is_empty
+    """Whether the sets share a point, read off their bits on the hull."""
+    _, bits = _on_hull(a.n, (a, b))
+    if bits is None:
+        return not set_algebra(a, b, "intersection").is_empty
+    return bool(bits[0] & bits[1])
 
 
 def is_subset(a: WindowSet, b: WindowSet) -> bool:
-    return set_algebra(a, b, "difference").is_empty
+    """Whether ``a`` lies in ``b``, read off their bits on the hull."""
+    _, bits = _on_hull(a.n, (a, b))
+    if bits is None:
+        return set_algebra(a, b, "difference").is_empty
+    return not bits[0] & ~bits[1]
 
 
 def union_all(n: int, sets: Iterable[WindowSet]) -> WindowSet:
-    """Canonical union of the sets; the empty set when there are none."""
-    acc = None
-    for s in sets:
-        if acc is not None:
-            acc = set_algebra(acc, s, "union")
-        elif s.n != n:
-            raise RejectedInputError("operands live over different alphabets")
-        else:
-            acc = s.canonicalize()
-    return WindowSet.empty(n) if acc is None else acc
+    """Canonical union of the sets, their bits ORed on the hull and
+    canonicalized once; the empty set when there are none."""
+    sets = list(sets)
+    if len(sets) == 1 and sets[0].n == n:
+        return sets[0].canonicalize()
+    window, bits = _on_hull(n, sets)
+    if bits is not None:
+        return WindowSet(n, window, reduce(operator.or_, bits)).canonicalize()
+    return reduce(union, sets, WindowSet.empty(n))
 
 
 def all_window_sets(n: int, window: Window) -> Iterator[WindowSet]:

@@ -165,19 +165,9 @@ class FiniteAlgebra:
     """
 
     def __init__(self, n: int, generators: Sequence[symbolic.WindowSet]):
-        if any(g.n != n for g in generators):
-            raise RejectedInputError("operands live over different alphabets")
         self.n = n
         self.generators = tuple(generators)
-        lo = min(
-            (int(g.min_coordinate()) for g in generators if not g.is_degenerate),
-            default=0,
-        )
-        hi = max(
-            (int(g.max_coordinate()) for g in generators if not g.is_degenerate),
-            default=0,
-        )
-        window = symbolic.Window(lo, hi)
+        window = symbolic._hull(n, self.generators) or symbolic.Window(0, 0)
         count = n ** window.span
         gen_bits = [g.bits_on(window) for g in generators]
         atoms: dict[tuple[bool, ...], int] = {}
@@ -233,16 +223,8 @@ def caratheodory_measurable(
     Each test set is split as a bitset on the hull of the algebra's window
     and ``a``'s canonical window.
     """
-    if a.n != tests.n:
-        raise RejectedInputError("operands live over different alphabets")
-    key = a.canonical_key()
-    lo, hi = tests._window.lo, tests._window.hi
-    if len(tests) == 2:
-        # only the empty and full sets: the algebra's window is a placeholder
-        lo, hi = (key[0], key[1]) if len(key) == 3 else (0, 0)
-    elif len(key) == 3:
-        lo, hi = min(lo, key[0]), max(hi, key[1])
-    hull = symbolic.Window(lo, hi)
+    # the algebra's window is the hull of its generators' windows
+    hull = symbolic._hull(tests.n, (a, *tests.generators)) or symbolic.Window(0, 0)
     a_bits = a.bits_on(hull)
     outside = ~a_bits
     n = tests.n
@@ -281,10 +263,14 @@ def check_splitting_closure(mu: SetFunctionHandle, algebra: FiniteAlgebra) -> Re
         bits: v.numerator * (scale // v.denominator) for bits, v in zip(bits_list, fractions)
     }
     mask = (1 << (algebra.n ** algebra._window.span)) - 1
+    pairs = list(values.items())
     passing = []
     for a in bits_list:
         outside = ~a & mask
-        if all(values[q] == values[q & a] + values[q & outside] for q in bits_list):
+        for q, whole in pairs:
+            if whole != values[q & a] + values[q & outside]:
+                break
+        else:
             passing.append(a)
     passing_set = set(passing)
     comp_ok = all((~a & mask) in passing_set for a in passing)

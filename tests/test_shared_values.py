@@ -84,6 +84,18 @@ def test_a_warm_table_still_rejects_bad_arguments():
         assert len(symbolic._CYLINDERS) == 4
 
 
+def test_rank_word_rejects_a_rank_outside_the_window():
+    # a rank past the window's last word would otherwise wrap to a word of
+    # the window, as rank 5 on two binary coordinates to the word of rank 1
+    with fresh_tables():
+        assert symbolic.rank_word(2, 2, 1) == (0, 1)
+        for n, span, bad in ((2, 2, 5), (2, 2, 4), (2, 2, -1), (3, 1, 3), (2, 0, 1)):
+            with pytest.raises(RejectedInputError, match=f"rank {bad} outside"):
+                symbolic.rank_word(n, span, bad)
+        assert symbolic.rank_word(2, 0, 0) == ()
+        assert set(symbolic._WORDS) == {(2, 2, 1), (2, 0, 0)}
+
+
 def test_a_kept_bitset_cylinder_is_not_served_where_trees_are_asked():
     # as ``trees_only`` in test_wide_sets.py: every window of more than one
     # word keeps its set as a tree

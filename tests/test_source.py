@@ -306,3 +306,44 @@ def test_symbolic_shares_values_only_in_capped_tables():
                 found.append(f"symbolic.py:{node.lineno} {table}.{node.attr}")
     assert found == []
     assert {"_WORDS", "_CYLINDERS"} <= set(stores)
+
+
+def test_the_walk_counters_stay_tied_to_cell_values():
+    """``perfbench/tracer.py`` counts ``measures.cell_value.calls`` at every
+    kind's ``cell_value``.  A walk node is a single-word cylinder, and
+    ``measures._cell_sum`` prices a single word through ``cell_value``
+    alone; ``CylinderMeasure.set_value``, which prices a multi-word bitset
+    in one call, is never named by the engine.  Otherwise the counter would
+    stop seeing the walk until the library counts its own work."""
+    from fractions import Fraction
+
+    from ddmlab import measures, symbolic
+
+    root = Path(ddmlab.__file__).parent
+    engine = ast.parse((root / "engine.py").read_text(encoding="utf-8"))
+    found = [
+        f"engine.py:{node.lineno}" for node in ast.walk(engine)
+        if "set_value" in (getattr(node, "id", None), getattr(node, "attr", None),
+                           getattr(node, "name", None))
+    ]
+    assert found == []
+
+    class Cells(measures.BernoulliMeasure):
+        def __init__(self):
+            super().__init__((Fraction(1, 3), Fraction(2, 3)))
+            self.cells = 0
+
+        def cell_value(self, lo, word):
+            self.cells += 1
+            return super().cell_value(lo, word)
+
+        def set_value(self, at, n, span, bits):
+            raise AssertionError("a single word was priced as a set")
+
+    mu = Cells()
+    for span in (1, 2, 3):
+        for rank in range(2 ** span):
+            cylinder = symbolic.WindowSet.ranked_cylinder(2, 1, span, rank)
+            ones = bin(rank).count("1")
+            assert measures.eval_shifted(mu, -1, cylinder) == Fraction(2 ** ones, 3 ** span)
+    assert mu.cells == 2 + 4 + 8

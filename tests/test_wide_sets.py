@@ -5,7 +5,7 @@ set over two or more symbols takes the tree path, and its results must
 equal those of the bitset path."""
 
 import random
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from fractions import Fraction as F
 
 import pytest
@@ -95,6 +95,36 @@ def test_tree_algebra_equals_bitset_algebra(pair, op, g):
             assert isinstance(ta.canonical_key()[2], symbolic._Node)
             assert ta.bits_on(listings[0][0]) == a.bits_on(listings[0][0])
     assert got == expected
+
+
+@SETTINGS
+@given(st.integers(0, 2 ** 16), st.sampled_from([2, 3]), st.integers(1, 4), st.booleans())
+def test_hull_predicates_and_unions_agree_with_set_algebra(seed, n, count, trees):
+    """``is_subset``, ``meets`` and ``union_all`` read the sets' bits on
+    their hull; their answers must equal those of ``set_algebra`` and of a
+    pairwise union, on bitset, degenerate and (under ``trees_only``) tree
+    sets."""
+    rng = random.Random(seed)
+    span = 3 if n == 2 else 2
+    with trees_only() if trees else nullcontext():
+        sets = [suites.random_window_set(rng, n, (-2, 1), span, allow_degenerate=True)
+                for _ in range(count)]
+        sets += [WindowSet.empty(n), WindowSet.full_space(n)][:rng.randint(0, 2)]
+        sets.append(symbolic.set_algebra(sets[0], sets[-1], "intersection"))  # a subset
+        rng.shuffle(sets)
+        for a in sets:
+            for b in sets:
+                assert symbolic.is_subset(a, b) == symbolic.set_algebra(a, b, "difference").is_empty
+                assert symbolic.meets(a, b) == (
+                    not symbolic.set_algebra(a, b, "intersection").is_empty)
+        expected = WindowSet.empty(n)
+        for s in sets:
+            expected = symbolic.set_algebra(expected, s, "union")
+        union = symbolic.union_all(n, iter(sets))
+        assert key_bits(union) == key_bits(expected)
+        assert union.canonicalize() is union
+        if trees and not union.is_degenerate:
+            assert isinstance(union.canonical_key()[2], symbolic._Node)
 
 
 @SETTINGS
