@@ -302,12 +302,6 @@ class WindowSet:
             return math.inf
         return key[0]
 
-    def max_coordinate(self) -> int | float:
-        key = self.canonical_key()
-        if key in (("empty",), ("full",)):
-            return -math.inf
-        return key[1]
-
     # -- views ----------------------------------------------------------
 
     def bits_on(self, window: Window) -> int:
@@ -751,10 +745,3 @@ def union_all(n: int, sets: Iterable[WindowSet]) -> WindowSet:
     if bits is not None:
         return WindowSet(n, window, reduce(operator.or_, bits)).canonicalize()
     return reduce(union, sets, WindowSet.empty(n))
-
-
-def all_window_sets(n: int, window: Window) -> Iterator[WindowSet]:
-    """Every subset determined on ``window`` (2**(n**span) sets, keep small)."""
-    count = _cell_count(n, window)
-    for bits in range(1 << count):
-        yield WindowSet(n, window, bits).canonicalize()

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 from . import engine, measures, symbolic
 from .budgeted import BudgetedProblem, psi_budgeted
 from .covers import TruncationConfig
-from .errors import GridNotMonotoneError, RejectedInputError, TooLargeError
+from .errors import CertificateError, GridNotMonotoneError, RejectedInputError, TooLargeError
 
 ZERO = Fraction(0)
 
@@ -473,30 +473,41 @@ class DefectResult:
 
 
 def norm_defect(
-    phi: measures.CylinderMeasure,
-    window_cap: int,
-    m_cap: int,
-    cfg: TruncationConfig,
+    phi: measures.CylinderMeasure, window_cap: int, m_cap: int, cfg: TruncationConfig
 ) -> DefectResult:
-    """Largest shift mismatch |phi(S^m A) - phi(A)| over window sets within
-    the cap and |m| <= m_cap; a lower bound for the full supremum.  Also
-    checks the truncated total mass against total mass minus the defect."""
+    """Largest shift mismatch |phi(S^m A) - phi(A)| over sets A on
+    [0, window_cap] and -m_cap <= m <= 0, a lower bound for the full
+    supremum, with the truncated total mass checked against total mass minus
+    it.  Each m gives a signed, finitely additive set function on the cells
+    of [0, window_cap], whose supremum is the larger of its positive and
+    negative cell sums, attained by the cells of that sign (the Hahn set):
+    O(n^(window_cap+1) * m_cap) cell prices.  The witness (m, Hahn set),
+    none at zero defect, is re-priced through ``eval0`` and ``shift``."""
     if not phi.nonnegative:
         raise RejectedInputError("defect scan needs a nonnegative measure")
+    if m_cap < 0:
+        raise RejectedInputError(f"m_cap {m_cap} is negative")
     n = phi.symbols
-    defect = ZERO
-    witness = None
     window = symbolic.Window(0, window_cap)
-    for a in symbolic.all_window_sets(n, window):
-        if a.is_degenerate:
-            continue
-        base = measures.eval0(phi, a)
-        for m in range(0, -m_cap - 1, -1):
-            shifted = measures.eval0(phi, symbolic.shift(a, m))
-            gap = abs(shifted - base)
-            if gap > defect:
-                defect = gap
-                witness = (m, a)
+    symbolic._cell_count(n, window)  # the bitset cap, before any word is listed
+    symbolic._check_coordinate(window_cap + m_cap)  # the farthest coordinate read
+    words = list(itertools.product(range(n), repeat=window.span))  # in rank order
+    base = [phi.cell_value(0, word) for word in words]
+    defect, witness = ZERO, None
+    for m in range(-1, -m_cap - 1, -1):
+        gaps = [phi.cell_value(-m, word) - b for word, b in zip(words, base)]
+        for sign in (1, -1):
+            ranks = [r for r, gap in enumerate(gaps) if sign * gap > 0]
+            mass = sign * measures.exact_sum([gaps[r] for r in ranks])
+            if mass > defect:
+                defect, witness = mass, (m, ranks)
+    if witness is not None:
+        m, ranks = witness
+        a = symbolic.WindowSet.from_ranks(n, window, ranks).canonicalize()
+        repriced = measures.eval0(phi, symbolic.shift(a, m)) - measures.eval0(phi, a)
+        if abs(repriced) != defect:
+            raise CertificateError(f"defect witness at shift {m} re-prices to {repriced}")
+        witness = (m, a)
     total = measures.eval0(phi, symbolic.WindowSet.full_space(n))
     truncated = engine.phi_truncated(symbolic.WindowSet.full_space(n), phi, cfg).value
     return DefectResult(defect, total, truncated, truncated <= total - defect, witness)

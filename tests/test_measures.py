@@ -126,6 +126,29 @@ class TestEvalShifted:
                 direct = eval0(mu, moved)
                 assert eval_shifted(mu, m, c) == direct == eval0(mu, c)
 
+    def test_one_symbol_cylinders_price_as_their_cell_at_any_coordinate(self):
+        # over one symbol a one-word cylinder canonicalizes to the full space,
+        # which eval_shifted prices at coordinate 0, not at the cylinder's
+        # coordinate; the two agree because every kind has one total mass
+        dirac = DiracMeasure(1, (0,), ((2, 0),))
+        bern = BernoulliMeasure((F(1),))
+        kinds = [
+            dirac,
+            MarkovMeasure((F(1),), ((F(1),),)),
+            bern,
+            cesaro(dirac, 2),
+            measures.ConvexMeasure((F(1, 3), F(2, 3)), (dirac, bern)),
+            SignedDiffMeasure(bern, F(1, 2), dirac),
+        ]
+        for mu in kinds:
+            for floor in range(-2, 3):
+                for at in range(max(floor, 0), floor + 4):  # read at coordinates >= 0
+                    for span in range(1, 4):
+                        cylinder = WindowSet.ranked_cylinder(1, floor, span, 0)
+                        assert eval_shifted(mu, floor - at, cylinder) == mu.cell_value(
+                            at, (0,) * span
+                        )
+
     def test_grading_violation(self):
         with pytest.raises(GradingViolationError):
             eval_shifted(ALT, -1, cyl(-2, 0))

@@ -347,3 +347,37 @@ def test_the_walk_counters_stay_tied_to_cell_values():
             ones = bin(rank).count("1")
             assert measures.eval_shifted(mu, -1, cylinder) == Fraction(2 ** ones, 3 ** span)
     assert mu.cells == 2 + 4 + 8
+
+
+def test_every_public_helper_has_a_caller():
+    """A public module-level function or class of the package that is not in
+    ``__all__`` is named somewhere in ``src/`` or ``perfbench/`` outside its
+    own definition: a helper that nothing calls is removed, not kept for
+    the tests alone."""
+    from collections import Counter
+
+    root = Path(ddmlab.__file__).parent
+    bench = root.parents[1] / "perfbench"
+    trees = {
+        path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in sorted(root.rglob("*.py")) + sorted(bench.rglob("*.py"))
+    }
+    assert any(path.parent == bench for path in trees)
+
+    def named(tree):
+        return Counter(
+            node.name if isinstance(node, ast.alias)
+            else getattr(node, "id", None) or getattr(node, "attr", None)
+            for node in ast.walk(tree)
+        )
+
+    everywhere = sum((named(tree) for tree in trees.values()), Counter())
+    found = [
+        f"{path.relative_to(root)}:{node.lineno} {node.name}"
+        for path, tree in trees.items() if path.parent != bench
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_") and node.name not in ddmlab.__all__
+        and everywhere[node.name] == named(node)[node.name]
+    ]
+    assert found == []

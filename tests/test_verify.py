@@ -1,12 +1,19 @@
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
 
-from ddmlab import engine, measures, suites, symbolic, verify
+from ddmlab import engine, examples, measures, suites, symbolic, verify
 from ddmlab.budgeted import BudgetedProblem, brute_force_psi, psi_budgeted
 from ddmlab.covers import TruncationConfig, is_valid_cover
-from ddmlab.errors import InfeasibleError, RejectedInputError, TooLargeError
+from ddmlab.errors import (
+    BitsetCapError,
+    CertificateError,
+    InfeasibleError,
+    RejectedInputError,
+    TooLargeError,
+)
 from ddmlab.measures import BernoulliMeasure, DiracMeasure, cesaro, eval0, eval_shifted
 from ddmlab.suites import caratheodory_config, random_measure, random_window_set
 from ddmlab.symbolic import Window, WindowSet
@@ -425,8 +432,11 @@ class TestApproximation:
 
 class TestNormDefect:
     def scan_oracle(self, phi, window_cap, m_cap):
+        """The defect by pricing every set on [0, window_cap] at every shift."""
+        n, window = phi.symbols, Window(0, window_cap)
         best = F(0)
-        for a in symbolic.all_window_sets(2, Window(0, window_cap)):
+        for bits in range(1 << n ** (window_cap + 1)):
+            a = WindowSet(n, window, bits).canonicalize()
             if a.is_degenerate:
                 continue
             base = eval0(phi, a)
@@ -435,6 +445,18 @@ class TestNormDefect:
                 best = max(best, gap)
         return best
 
+    def assert_witness(self, phi, window_cap, m_cap, res):
+        """The witness is a canonical set on [0, window_cap] at a shift
+        within the cap, re-priced to the defect; none at zero defect."""
+        if res.defect == 0:
+            assert res.witness is None
+            return
+        m, a = res.witness
+        assert -m_cap <= m < 0
+        assert a.canonicalize() is a and not a.is_degenerate
+        assert 0 <= a.min_coordinate() and a.window.hi <= window_cap
+        assert abs(eval0(phi, symbolic.shift(a, m)) - eval0(phi, a)) == res.defect
+
     def test_stationary_measures_have_zero_defect(self):
         cfg = TruncationConfig(1, 0, 0)
         for mu in (chain(), BernoulliMeasure((F(1, 3), F(2, 3)))):
@@ -442,6 +464,7 @@ class TestNormDefect:
             assert res.defect == 0 == self.scan_oracle(mu, 1, 1)
             assert res.truncated_total == res.total_mass == 1
             assert res.bound_holds
+            assert res.witness is None
 
     def test_alternating_point_mass_has_defect_one(self):
         cfg = TruncationConfig(1, 0, 0)
@@ -451,6 +474,65 @@ class TestNormDefect:
         assert res.bound_holds
         m, witness = res.witness
         assert abs(eval0(ALT, symbolic.shift(witness, m)) - eval0(ALT, witness)) == 1
+        self.assert_witness(ALT, 1, 1, res)
+
+    def test_closed_form_equals_the_scan(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        cfg = TruncationConfig(1, 0, 0)
+        kinds = ["dirac", "markov", "bernoulli", "cesaro", "convex"]
+
+        # n = 3 at cap 2 would scan 2^27 sets
+        @hypothesis.settings(max_examples=80, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(st.integers(0, 2 ** 16), st.sampled_from(kinds),
+                          st.sampled_from([(2, 0), (2, 1), (2, 2), (3, 0), (3, 1)]),
+                          st.integers(0, 3))
+        def check(seed, kind, shape, m_cap):
+            n, window_cap = shape
+            phi = random_measure(random.Random(seed), n, kind)
+            res = norm_defect(phi, window_cap, m_cap, cfg)
+            assert res.defect == self.scan_oracle(phi, window_cap, m_cap)
+            self.assert_witness(phi, window_cap, m_cap, res)
+
+        check()
+
+    def test_cap_eight_is_certified_in_under_a_second(self):
+        cfg = TruncationConfig(1, 0, 0)
+        start = time.perf_counter()
+        res = norm_defect(chain(), 8, 3, cfg)
+        elapsed = time.perf_counter() - start
+        assert res.defect == 0 and res.witness is None and res.bound_holds
+        assert elapsed < 1, f"{elapsed:.2f} s"
+        # a chain started at 0 moves furthest from its start at m = -3, where
+        # P(X_3 = 1) = 21/32; its Hahn set, 256 cells on [0, 8], is cyl(0,[1])
+        started = measures.MarkovMeasure((F(1), F(0)), CHAIN_A)
+        res = norm_defect(started, 8, 3, cfg)
+        assert res.defect == F(21, 32) and res.witness == (-3, cyl(0, 1))
+        self.assert_witness(started, 8, 3, res)
+        self.assert_witness(ALT, 8, 3, norm_defect(ALT, 8, 3, cfg))
+
+    def test_a_negative_shift_cap_is_rejected(self):
+        with pytest.raises(RejectedInputError, match="m_cap -1"):
+            norm_defect(examples.alternating_point(), 1, -1, TruncationConfig(1, 0, 0))
+
+    def test_caps_beyond_the_bounds_keep_their_errors(self):
+        cfg = TruncationConfig(1, 0, 0)
+        # 2^65 words: the bitset cap is hit before any word is listed
+        with pytest.raises(BitsetCapError) as caught:
+            norm_defect(ALT, 64, 1, cfg)
+        assert caught.value.kind == "resource"
+        # words read at coordinate 65, past the +-64 bound
+        with pytest.raises(RejectedInputError, match="coordinate 65"):
+            norm_defect(ALT, 1, 64, cfg)
+        with pytest.raises(RejectedInputError):
+            norm_defect(ALT, -1, 1, cfg)
+
+    def test_a_witness_that_does_not_reprice_raises(self, monkeypatch):
+        eval0_ = measures.eval0
+        monkeypatch.setattr(measures, "eval0", lambda mu, s: 2 * eval0_(mu, s))
+        with pytest.raises(CertificateError) as caught:
+            norm_defect(ALT, 1, 1, TruncationConfig(1, 0, 0))
+        assert caught.value.kind == "internal"
 
 
 class TestConsistency:
