@@ -111,9 +111,8 @@ def psi_eps_grid(
     for every slack, and each option a cell picks is re-checked once.  The
     budget base is the least phi component of the deepest shift's front,
     whose option is re-checked too.  The sweep's trees nest and read every
-    node at one coordinate, so the shifts' walks share one memo of node
-    fronts: a full node or a leaf of an earlier shift is read back, not
-    walked again (:class:`engine.RootFront`).
+    node at one coordinate, so the shifts share one memo, which reads back
+    an earlier shift's full nodes, leaves and prices (:class:`engine.RootFront`).
     """
     eps_list = tuple(Fraction(e) for e in eps_list)
     i_list = tuple(int(i) for i in i_list)
@@ -147,9 +146,9 @@ def psi_eps_grid(
 
 
 def _chain(q, phi, objectives, eps, cfg):
-    """The levels share one query and one truncation, so they walk one frame
-    through one ``prices`` table that lives as long as this call
-    (:class:`engine.RootFront`); the surrogate is a solve of its own."""
+    """The surrogate and the levels share one query and one truncation, so
+    they share one frame, each node's price and each witness check through
+    one memo that lives as long as this call (:class:`engine.RootFront`)."""
     eps = Fraction(eps)
     if eps <= 0:
         raise RejectedInputError("slack must be positive")
@@ -157,11 +156,11 @@ def _chain(q, phi, objectives, eps, cfg):
         raise DimensionCapError(
             f"chain of length {len(objectives)} beyond the cap (budgeted.CHAIN_CAP = {CHAIN_CAP})"
         )
-    comps, bounds = [phi], [engine.phi_truncated(q, phi, cfg).value + eps]
-    prices = {"frame": engine.build_frame(q, cfg)}
+    memo: dict = {}
+    comps, bounds = [phi], [engine.phi_truncated(q, phi, cfg, memo=memo).value + eps]
     certs = []
     for objective in objectives:
-        cert = engine.RootFront(q, [objective] + comps, cfg, prune, prices=prices).cheapest(bounds)
+        cert = engine.RootFront(q, [objective] + comps, cfg, prune, memo=memo).cheapest(bounds)
         certs.append(cert)
         comps.append(objective)
         bounds.append(cert.value + eps)
@@ -177,8 +176,8 @@ def psi_chain(
 ) -> list[ValueCertificate]:
     """Inductive chain: each level's optimum plus the slack becomes the next
     level's budget.  Level k is a Pareto problem with k+1 cost components.
-    The levels share one frame: a node is priced once per measure, and a
-    witness re-checked once, for the whole chain."""
+    The surrogate and the levels share one frame: a node is priced once per
+    measure, and a witness re-checked once, for the whole chain."""
     return _chain(q, phi, list(psi_list), eps, cfg)
 
 

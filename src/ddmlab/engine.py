@@ -37,14 +37,14 @@ component per measure, reduced by a ``keep`` rule: the scalar problem is
 the one-component case that keeps the first cheapest option, and budgeted
 problems (module ``budgeted``) keep the Pareto antichain left by
 :func:`prune`.  Costs are integer numerators, one denominator per
-component, made rationals only at the root.  Walks whose trees share nodes
-may share the fronts of full nodes and leaves through a memo their caller
-owns (:class:`_Walk`): the queries of one phi or psi handle, or the shifts
-of one psi grid (modules ``verify`` and ``budgeted``); the engine keeps no
-cache of its own.  Every optimum's witness is re-validated and re-priced on
-each component through the window-set path, and a mismatch raises
-:class:`CertificateError`.  An independent brute-force enumerator over
-grade labelings of the finest classes is the oracle for both problems.
+component, made rationals only at the root.  Solves may share work through
+a memo their caller owns, keyed by all each entry depends on (:class:`_Walk`,
+:class:`RootFront`): the queries of a phi or psi handle, the shifts of a psi
+grid, the levels of a psi chain (modules ``verify`` and ``budgeted``); the
+engine keeps no cache of its own.  Every optimum's witness is re-validated
+and re-priced on each component through the window-set path, and a mismatch
+raises :class:`CertificateError`.  An independent brute-force enumerator
+over grade labelings of the finest classes is the oracle for both problems.
 """
 
 from __future__ import annotations
@@ -133,13 +133,17 @@ def prune(items):
     """Keep the nondominated (vector, trace) pairs, deterministic order.
 
     After the lexicographic sort no vector dominates one sorted before it,
-    so one pass against the kept vectors suffices; weak dominance also
-    drops the later copies of a repeated vector.
+    so one pass suffices, against the kept vectors or, for pairs, against
+    the least second component kept; weak dominance also drops the later
+    copies of a repeated vector.
     """
-    kept = []
+    kept, least = [], None  # for pairs, the least second component kept
     for vec, trace in sorted(items, key=itemgetter(0)):
-        if not any(all(a <= b for a, b in zip(kvec, vec)) for kvec, _ in kept):
-            kept.append((vec, trace))
+        if len(vec) == 2 and (least is None or vec[1] < least):
+            least = vec[1]
+        elif len(vec) == 2 or any(all(a <= b for a, b in zip(kvec, vec)) for kvec, _ in kept):
+            continue
+        kept.append((vec, trace))
     if len(kept) > FRONT_CAP:
         raise BudgetExceededError(
             f"Pareto front exceeded the size cap (engine.FRONT_CAP = {FRONT_CAP})"
@@ -185,35 +189,36 @@ class _Walk:
     A node is the pair (floor, rank) of its absolute grading floor and the
     rank of its word on [floor, whi], and a cost an integer numerator over
     its component's ``dens`` entry, which every price of the walk divides.
-    Below a full node every left extension of the word lies in Q, and a
-    leaf has nothing below it, so the front of either depends on the query
-    only through the coordinate ``at`` every node is read at, the deepest
-    floor and the right edge.  Those fronts are kept, as tuples, in the
-    caller's ``memo`` under (at, floor_d, whi, dens), so never at another
-    scale, then under (floor, rank).  A partial node's front depends on the
+    A ``memo`` keeps a node's numerator under a measure by the coordinate
+    ``at`` every node is read at, the right edge, the measure and its
+    denominator, then by (floor, rank).  Below a full node every left
+    extension of the word lies in Q, and a leaf has nothing below it, so the
+    front of either is kept, as a tuple, by (keep, comps, at, floor_d, whi,
+    dens), then by (floor, rank).  A partial node's front depends on the
     cells of Q below it and is never kept.
     """
 
     __slots__ = ("n", "comps", "dens", "keep", "qlo", "floor_d", "whi", "at", "bounded",
-                 "count", "memo", "prices")
+                 "count", "fronts", "nums")
 
-    def __init__(self, frame: Frame, comps, keep, memo, prices):
+    def __init__(self, frame: Frame, comps, keep, memo):
         self.n, self.comps, self.keep = frame.n, comps, keep
         self.qlo, self.whi = frame.qlo, frame.whi  # a node with floor <= qlo is full
-        self.floor_d = frame.floor(-frame.depth)
-        self.at = frame.floor0 - frame.base_shift  # the coordinate every node is read at
-        symbolic._check_coordinate(self.at)  # as pricing does, before a measure reads it
-        self.dens = tuple([mu.denominator(self.at, self.whi - self.floor_d + 1) for mu in comps])
+        floor_d = self.floor_d = frame.floor(-frame.depth)
+        at = self.at = frame.floor0 - frame.base_shift  # the coordinate every node is read at
+        symbolic._check_coordinate(at)  # as pricing does, before a measure reads it
+        dens = self.dens = tuple([mu.denominator(at, self.whi - floor_d + 1) for mu in comps])
         self.bounded = all(mu.nonnegative for mu in comps)  # a signed walk is never bounded
-        self.count, self.prices = 0, prices
-        self.memo = None if memo is None else memo.setdefault(
-            (self.at, self.floor_d, self.whi, self.dens), {})
+        self.count, self.fronts, self.nums = 0, None, (None,) * len(comps)
+        if memo is not None:
+            self.fronts = memo.setdefault((keep, tuple(comps), at, floor_d, self.whi, dens), {})
+            self.nums = [memo.setdefault((at, self.whi, mu, d), {}) for mu, d in zip(comps, dens)]
 
     def node(self, rank, cells, floor):
+        key = (floor, rank)
         full = floor <= self.qlo
-        memo = self.memo if full or floor == self.floor_d else None
+        memo = self.fronts if full or floor == self.floor_d else None
         if memo is not None:
-            key = (floor, rank)
             front = memo.get(key)
             if front is not None:
                 return front
@@ -222,10 +227,10 @@ class _Walk:
             raise BudgetExceededError(
                 f"refinement tree exceeded the node cap (engine.NODE_CAP = {NODE_CAP})"
             )
-        n, at, span, prices = self.n, self.at, self.whi - floor + 1, self.prices
+        n, at, span = self.n, self.at, self.whi - floor + 1
         cyl, take = None, []
-        for mu, d in zip(self.comps, self.dens):
-            num = None if prices is None else prices.get((mu, floor, rank))
+        for mu, d, nums in zip(self.comps, self.dens, self.nums):
+            num = None if nums is None else nums.get(key)
             if num is None:
                 cyl = cyl or symbolic.WindowSet.ranked_cylinder(n, floor, span, rank)
                 price = measures.eval_shifted(mu, floor - at, cyl)
@@ -233,11 +238,11 @@ class _Walk:
                 if rest:
                     raise CertificateError(f"{mu!r} prices {price}, finer than its denominator {d}")
                 num = price.numerator * scale
-                if prices is not None:
-                    prices[(mu, floor, rank)] = num
+                if nums is not None:
+                    nums[key] = num
             take.append(num)
         take = tuple(take)
-        front = [(take, (floor, rank))]
+        front = [(take, key)]
         k = floor - self.floor_d  # levels below the node
         stop = not k
         if not stop and self.bounded:
@@ -261,17 +266,17 @@ class _Walk:
         return front
 
 
-def _walk(frame: Frame, comps, keep, *, memo=None, prices=None):
+def _walk(frame: Frame, comps, keep, *, memo=None):
     """Root front of (cost vector, trace) options of the take-or-split tree,
     as a tuple.
 
     A vector has one component per measure of ``comps``.  A trace is either
     the pair (floor, rank) of a taken node or a tuple of traces, whose taken
     nodes together make up a sum of options.  A frame with no cells has the
-    single option of the empty cover, at cost 0 in every component.  A
-    ``memo`` shared by walks of the same ``comps`` and ``keep`` lets them
-    share the fronts of full nodes and leaves (:class:`_Walk`); walks given
-    one ``prices`` table share each node's numerator under each measure.
+    single option of the empty cover, at cost 0 in every component.  Walks
+    given one ``memo`` share each node's numerator under each measure and
+    the fronts of full nodes and leaves, each where its key allows
+    (:class:`_Walk`).
     """
     size = frame.n ** (frame.whi - frame.floor0 + 1)
     roots: dict[int, list] = {}
@@ -279,7 +284,7 @@ def _walk(frame: Frame, comps, keep, *, memo=None, prices=None):
         roots.setdefault(cell % size, []).append(cell)
     if not roots:
         return (((ZERO,) * len(comps), ()),)
-    walk = _Walk(frame, comps, keep, memo, prices)
+    walk = _Walk(frame, comps, keep, memo)
     front = _combine([walk.node(r, c, frame.floor0) for r, c in sorted(roots.items())], keep)
     return tuple((tuple(map(Fraction, vec, walk.dens)), trace) for vec, trace in front)
 
@@ -319,20 +324,20 @@ class RootFront:
 
     ``options`` is the tuple of (cost vector, trace) options of the root.
     Certificates of the scalar keep rule carry no cost vector; those of
-    every other keep rule carry it.  Walks given one ``memo``, which must
-    share ``comps`` and ``keep``, share the fronts of full nodes and leaves.
-    Roots given one ``prices`` table walk the frame it holds under "frame",
-    so must share ``q``, ``cfg`` and ``base_graded``; they share each node's
-    price, each witness's validation and its price under each measure, and
-    every certificate still compares its own vector with those prices.
+    every other keep rule carry it.  Roots given one ``memo`` share what
+    their keys allow, with no rule for the caller to keep: node numerators
+    and fronts (:class:`_Walk`), and per (q, cfg, base_graded) the frame
+    and the witness checks, a witness validated once and priced once per
+    measure, which every certificate compares with its own vector.
     """
 
-    def __init__(self, q, comps, cfg, keep, base_graded=False, *, memo=None, prices=None):
+    def __init__(self, q, comps, cfg, keep, base_graded=False, *, memo=None):
         self.q, self.comps, self.cfg, self.base_graded = q, comps, cfg, base_graded
         self.vector = keep is not _cheapest
-        self.prices = prices
-        self.frame = build_frame(q, cfg, base_graded) if prices is None else prices["frame"]
-        self.options = _walk(self.frame, comps, keep, memo=memo, prices=prices)
+        key = (q, cfg, base_graded)  # its frame, and each checked witness's price per measure
+        root = memo and memo.get(key) or (build_frame(q, cfg, base_graded), {})
+        self.frame, self.checks = root if memo is None else memo.setdefault(key, root)
+        self.options = _walk(self.frame, comps, keep, memo=memo)
         self._certificates: dict[int, ValueCertificate] = {}
 
     def certificate(self, k: int) -> ValueCertificate:
@@ -382,18 +387,13 @@ def _certificate(root: RootFront, option) -> ValueCertificate:
     re-priced on every cost component through the window-set path."""
     vec, trace = option
     witness = _witness(root, trace)
-    prices = root.prices
-    if prices is None or witness not in prices:
-        if not covers.is_valid_cover(root.q, witness):
-            raise CertificateError("the witness is not a graded cover of the query")
-        if prices is not None:
-            prices[witness] = True
+    prices = root.checks.setdefault(witness, {})  # holds a price only once the witness is valid
+    if not prices and not covers.is_valid_cover(root.q, witness):
+        raise CertificateError("the witness is not a graded cover of the query")
     for k, mu in enumerate(root.comps):
-        price = None if prices is None else prices.get((witness, mu))
+        price = prices.get(mu)
         if price is None:
-            price = covers.cover_cost(witness, mu)
-            if prices is not None:
-                prices[(witness, mu)] = price
+            price = prices[mu] = covers.cover_cost(witness, mu)
         if price != vec[k]:
             raise CertificateError(
                 f"the witness prices cost component {k} at {price}, not {vec[k]}"
@@ -416,10 +416,8 @@ def phi_truncated(
 ) -> ValueCertificate:
     """Exact minimum cover cost within the truncated class, with witness.
 
-    The value is an upper bound for the untruncated infimum and is
-    nonincreasing in both depth and width.  Solves given one ``memo``,
-    which must share ``phi``, share the fronts of full nodes and leaves
-    (:class:`RootFront`).
+    The value, an upper bound for the untruncated infimum, is nonincreasing
+    in depth and width.  Solves given one ``memo`` share work (:class:`RootFront`).
     """
     return _phi_optimum(q, phi, cfg, base_graded=False, memo=memo)
 

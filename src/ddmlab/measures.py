@@ -188,6 +188,8 @@ class MarkovMeasure(CylinderMeasure):
 
     def _marginal(self, lo: int) -> tuple[Fraction, ...]:
         if lo not in self._marginals:
+            if lo < 0:
+                raise NegativeCoordinateError(f"coordinate {lo} is below the base algebra")
             prev = self._marginal(lo - 1)
             n = len(prev)
             cur = tuple(

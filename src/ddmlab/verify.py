@@ -108,9 +108,8 @@ def phi_handle(
     """Truncated cover optimum as a set function at one fixed truncation.
 
     The config must pin the working window, so all queries share one class
-    and their walks share one memo of node fronts: a full node or a leaf met
-    by an earlier query is read back, not walked again, and each query's
-    witness is still re-checked (:class:`engine.RootFront`).
+    and one memo, which reads back an earlier query's full nodes, leaves and
+    prices; each query's witness is still re-checked (:class:`engine.RootFront`).
     """
     if cfg.window_lo is None or cfg.window_hi is None:
         raise RejectedInputError("handle configs must pin the working window")
@@ -136,9 +135,8 @@ def psi_handle(
     dominated, so that component is the truncated phi optimum.  The option
     attaining the base is re-checked through the window-set path like the
     chosen option, each distinct option once per query.  The handle's
-    queries share one config, so their walks share one memo of node fronts:
-    a full node or a leaf met by an earlier query is read back, not walked
-    again (:class:`engine.RootFront`).
+    queries share one config and one memo, which reads back an earlier
+    query's full nodes, leaves and prices (:class:`engine.RootFront`).
     """
     if cfg.window_lo is None or cfg.window_hi is None:
         raise RejectedInputError("handle configs must pin the working window")
@@ -477,12 +475,13 @@ def norm_defect(
 ) -> DefectResult:
     """Largest shift mismatch |phi(S^m A) - phi(A)| over sets A on
     [0, window_cap] and -m_cap <= m <= 0, a lower bound for the full
-    supremum, with the truncated total mass checked against total mass minus
-    it.  Each m gives a signed, finitely additive set function on the cells
-    of [0, window_cap], whose supremum is the larger of its positive and
-    negative cell sums, attained by the cells of that sign (the Hahn set):
-    O(n^(window_cap+1) * m_cap) cell prices.  The witness (m, Hahn set),
-    none at zero defect, is re-priced through ``eval0`` and ``shift``."""
+    supremum.  ``bound_holds`` compares the truncated total mass, an upper
+    bound, with total mass minus that lower bound, so a False certifies
+    nothing.  Each m gives a signed, finitely additive set function on the
+    cells of [0, window_cap], whose supremum is the larger of its positive
+    and negative cell sums, attained by the cells of that sign (the Hahn
+    set): O(n^(window_cap+1) * m_cap) cell prices.  The witness (m, Hahn
+    set), none at zero defect, is re-priced through ``eval0`` and ``shift``."""
     if not phi.nonnegative:
         raise RejectedInputError("defect scan needs a nonnegative measure")
     if m_cap < 0:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from operator import le
 
 import pytest
 
@@ -399,6 +400,21 @@ def test_prune_drops_dominated_and_duplicate_vectors():
     assert kept == sorted(kept)
     for u in kept:
         assert not any(u != v and all(a <= b for a, b in zip(v, u)) for v in kept)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_prune_keeps_each_vector_no_earlier_one_dominates(width):
+    # pairs take the sweep against the least second component kept, other
+    # widths the scan; both keep, in sorted order, each vector that no
+    # vector sorted before it weakly dominates, so the first of equal ones
+    rng = random.Random(width)
+    for _ in range(200):
+        items = [(tuple(F(rng.randint(-2, 3)) for _ in range(width)), k)
+                 for k in range(rng.randint(1, 12))]
+        ordered = sorted(items, key=lambda item: item[0])
+        expected = [(vec, k) for j, (vec, k) in enumerate(ordered)
+                    if not any(all(map(le, earlier, vec)) for earlier, _ in ordered[:j])]
+        assert prune(items) == expected
 
 
 def test_signed_vectors_survive_pruning():

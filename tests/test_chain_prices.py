@@ -1,11 +1,12 @@
-"""The levels of a psi chain share one frame and one price table.
+"""The surrogate and the levels of a psi chain share one frame and one memo.
 
 Level k of ``psi_chain``/``psi_signed`` minimizes objective k under budgets
-set by levels 0..k-1, on the same query and the same truncation.  Its walk
-reads back the node prices of earlier levels, and a witness an earlier
-level re-checked is not re-validated or re-priced again; each level's
-certificate still compares its own vector with the witness's prices.  The
-reference here is the level-by-level chain of fresh ``psi_budgeted`` solves.
+set by the surrogate (the phi optimum) and levels 0..k-1, on the same query
+and the same truncation.  Its walk reads back the node prices of the
+surrogate and of earlier levels, and a witness they re-checked is not
+re-validated or re-priced again; each level's certificate still compares
+its own vector with the witness's prices.  The reference here is the
+level-by-level chain of fresh ``psi_budgeted`` solves.
 """
 
 import random
@@ -84,40 +85,30 @@ def three_levels(seed):
 
 
 def test_each_price_and_each_witness_check_is_made_once(monkeypatch):
-    # the surrogate is a solve of its own and is left out of the count
+    # the surrogate shares the chain's memo, so it is counted with the levels
     q, psis, cfg, eps = cyl(0, 0, 1), three_levels(5), TruncationConfig(1, 1, 0), F(1, 8)
-    state = {"surrogate": False, "cover_cost": False}
+    state = {"cover_cost": False}
     nodes, validated, priced = [], [], []
 
-    def surrogate(*args, **kwargs):
-        state["surrogate"] = True
-        try:
-            return solve(*args, **kwargs)
-        finally:
-            state["surrogate"] = False
-
     def eval_shifted(mu, m, s):
-        if not (state["surrogate"] or state["cover_cost"]):
+        if not state["cover_cost"]:
             nodes.append((mu, m, s))
         return price(mu, m, s)
 
     def is_valid_cover(q, c):
-        if not state["surrogate"]:
-            validated.append(c)
+        validated.append(c)
         return valid(q, c)
 
     def cover_cost(c, mu):
         state["cover_cost"] = True
         try:
-            if not state["surrogate"]:
-                priced.append((c, mu))
+            priced.append((c, mu))
             return cost(c, mu)
         finally:
             state["cover_cost"] = False
 
-    solve, price = engine.phi_truncated, measures.eval_shifted
-    valid, cost = covers.is_valid_cover, covers.cover_cost
-    monkeypatch.setattr(engine, "phi_truncated", surrogate)
+    surrogate = engine.phi_truncated(q, PHI, cfg).witness
+    price, valid, cost = measures.eval_shifted, covers.is_valid_cover, covers.cover_cost
     monkeypatch.setattr(measures, "eval_shifted", eval_shifted)
     monkeypatch.setattr(covers, "is_valid_cover", is_valid_cover)
     monkeypatch.setattr(covers, "cover_cost", cover_cost)
@@ -130,18 +121,19 @@ def test_each_price_and_each_witness_check_is_made_once(monkeypatch):
             # one price per (measure, node), one validation per distinct
             # witness and one price per (witness, measure) pair
             assert nodes and len(nodes) == len(set(nodes))
-            assert len(validated) == len({cert.witness for cert in certs}) < len(certs)
-            comps, pairs = [PHI], set()
+            assert len({cert.witness for cert in certs}) < len(certs)
+            assert len(validated) == len({surrogate} | {cert.witness for cert in certs})
+            comps, pairs = [PHI], {(surrogate, PHI)}
             for cert, psi in zip(certs, psis):
                 comps.append(psi)
                 pairs |= {(cert.witness, mu) for mu in comps}
             assert len(priced) == len(pairs) and set(priced) == pairs
             shared = certs
     assert shared == certs
-    # the fresh walks price each level's nodes again, and re-check every
-    # level's witness on every component
+    # the fresh walks price each level's nodes again, and re-check the
+    # surrogate's witness and every level's on every component
     assert all(chain < fresh for chain, fresh in zip(counts[0], counts[1]))
-    assert counts[1][1:] == (3, 2 + 3 + 4)
+    assert counts[1][1:] == (1 + 3, 1 + 2 + 3 + 4)
 
 
 def test_a_mispriced_level_still_fails_its_certificate(monkeypatch):
@@ -173,5 +165,5 @@ def test_a_chain_builds_one_frame(monkeypatch):
     monkeypatch.setattr(engine, "build_frame", lambda *args: frames.append(1) or build(*args))
     psi_signed(cyl(0, 0, 1), PHI, three_levels(5), [F(1, 2)] * 3, F(1, 8),
                TruncationConfig(1, 1, 0))
-    assert len(frames) == 2  # the surrogate's and the levels' one
+    assert len(frames) == 1  # the surrogate's, which the levels share
 

@@ -7,7 +7,7 @@ and turned back into rationals only at the root.  A node is named by its
 floor and the rank of its word, and a set is built from ranks.  These tests
 pin the reported denominators against the cell values, the re-check that
 catches a measure reporting too small a one, the memo keys that keep fronts
-of different scales and right edges apart, and the rank constructors
+and numerators of different scales and right edges apart, and the rank constructors
 against the word constructors.
 """
 
@@ -139,9 +139,15 @@ def test_walks_at_different_denominators_keep_their_own_fronts(monkeypatch):
     monkeypatch.setattr(mu, "denominator", lambda at, length: 2 * reported(at, length))
     second = engine.RootFront(q, [mu], cfg, engine._cheapest, memo=memo).options
     assert first == second == engine.RootFront(q, [mu], cfg, engine._cheapest).options
-    assert sorted(key[-1] for key in memo) == [(27,), (54,)]
-    (one,), (two,) = (memo[key].values() for key in sorted(memo, key=lambda key: key[-1]))
+    # fronts are kept by (keep, comps, at, floor_d, whi, dens), numerators
+    # by (at, whi, measure, denominator)
+    fronts = {key[-1]: memo[key] for key in memo if key[0] is engine._cheapest}
+    assert sorted(fronts) == [(27,), (54,)]
+    (one,), (two,) = fronts[(27,)].values(), fronts[(54,)].values()
     assert [2 * vec[0] for vec, _ in one] == [vec[0] for vec, _ in two]
+    nums = {key[-1]: memo[key] for key in memo if len(key) == 4 and key[2] is mu}
+    assert sorted(nums) == [27, 54]
+    assert {node: 2 * num for node, num in nums[27].items()} == nums[54]
 
 
 def test_walks_with_different_right_edges_keep_their_own_fronts():
@@ -155,7 +161,10 @@ def test_walks_with_different_right_edges_keep_their_own_fronts():
         cfg = TruncationConfig(1, width, 0)
         shared = engine.phi_truncated(q, point, cfg, memo=memo)
         assert shared == engine.phi_truncated(q, point, cfg)
-    assert len(memo) == 2
+    # one front table, one numerator table and one root per right edge
+    assert sorted(key[4] for key in memo if key[0] is engine._cheapest) == [0, 1]
+    assert sorted(key[1] for key in memo if len(key) == 4) == [0, 1]
+    assert sorted(key[1].width for key in memo if len(key) == 3) == [0, 1]
 
 
 @SETTINGS

@@ -253,6 +253,22 @@ class TestBernoulliIsAMarkovChain:
         assert not {"cell_value", "table"} & set(BernoulliMeasure.__dict__)
 
 
+@pytest.mark.parametrize("mu", [MarkovMeasure((F(1, 3), F(2, 3)), CHAIN_A),
+                                BernoulliMeasure((F(1, 4), F(3, 4)))], ids=["markov", "bernoulli"])
+@pytest.mark.parametrize("ask", [
+    lambda mu: mu.cell_value(-3, (0, 1)),
+    lambda mu: mu.set_value(-3, 2, 2, 0b0110),
+    lambda mu: mu.takes(-3, (0, 1), 1),
+    lambda mu: mu.denominator(-3, 2),
+], ids=["cell_value", "set_value", "takes", "denominator"])
+def test_a_chain_asked_for_a_negative_coordinate_names_it(mu, ask):
+    # the marginals start at coordinate 0; the chain once recursed toward
+    # minus infinity until Python's recursion limit
+    with pytest.raises(NegativeCoordinateError, match="coordinate -3 "):
+        ask(mu)
+    assert mu.cell_value(0, (0, 1)) == mu.pi[0] * mu.a[0][1]
+
+
 def test_signed_difference_linearity():
     rng = random.Random(41)
     psi = cesaro(ALT, 1)

@@ -3,11 +3,14 @@
 Below a full node (floor at or left of the query's canonical left edge)
 every left extension of the word lies in Q, and a leaf has nothing below
 it, so the fronts of both depend on the query only through the coordinate
-the nodes are read at and the deepest floor.  Walks that share a memo reuse
-those fronts: the queries of one ``verify.phi_handle`` or
-``verify.psi_handle`` and the shifts of one ``budgeted.psi_eps_grid``.  A
-partial node's front depends on the cells of Q below it and must never be
-reused; the pair test below is the trap for it.
+the nodes are read at, the deepest floor and the right edge, besides the
+keep rule and the measures.  Walks that share a memo reuse those fronts:
+the queries of one ``verify.phi_handle`` or ``verify.psi_handle`` and the
+shifts of one ``budgeted.psi_eps_grid``.  Every entry of a memo is keyed by
+all it depends on, so any solves may share one, whatever their measures,
+keep rules, right edges and gradings.  A partial node's front depends on
+the cells of Q below it and must never be reused; the pair test below is
+the trap for it.
 """
 
 import random
@@ -72,18 +75,68 @@ def pinned_queries(draw):
     return cfg, queries, comps
 
 
+def front_tables(memo):
+    """The memo's node front tables, keyed by (keep, comps, at, floor_d,
+    whi, dens)."""
+    return [table for key, table in memo.items() if key[0] in (engine.prune, engine._cheapest)]
+
+
 @SETTINGS
 @given(pinned_queries(), st.booleans())
 def test_queries_through_one_memo_equal_fresh_walks(instance, base_graded):
     cfg, queries, comps = instance
-    memos = {engine.prune: {}, engine._cheapest: {}}
+    memo: dict = {}
     for q in queries:
-        for keep, memo in memos.items():
+        for keep in (engine.prune, engine._cheapest):
             parts = comps if keep is engine.prune else comps[1:]
             shared = engine.RootFront(q, parts, cfg, keep, base_graded, memo=memo)
             same_root(shared, engine.RootFront(q, parts, cfg, keep, base_graded))
-    for memo in memos.values():
-        assert all(type(front) is tuple for fronts in memo.values() for front in fronts.values())
+    assert all(type(front) is tuple for fronts in front_tables(memo) for front in fronts.values())
+
+
+def test_one_memo_across_two_measures_serves_each_its_own_fronts():
+    # the two Bernoulli measures put 1/3 and 2/3 on the symbol 0, and so on
+    # the query; a front kept for one and read back for the other fails its
+    # certificate
+    q, cfg = cyl(0, 0), TruncationConfig(2, 1, 0, window_lo=-2, window_hi=1)
+    memo: dict = {}
+    values = [engine.phi_truncated(q, measures.BernoulliMeasure(p), cfg, memo=memo).value
+              for p in ((F(1, 3), F(2, 3)), (F(2, 3), F(1, 3)))]
+    assert values == [F(1, 3), F(2, 3)]
+
+
+@st.composite
+def mixed_solves(draw):
+    """Three to five solves for one memo: each a scalar optimum or a Pareto
+    root, over measures of all five kinds drawn from one small pool, at one
+    of two right edges, either grading and a depth of its own."""
+    rng = random.Random(draw(st.integers(0, 2 ** 16)))
+    pool = [draw_measure(rng, draw(st.sampled_from(KINDS))) for _ in range(3)]
+    shift = draw(st.sampled_from([0, -1]))
+    solves = []
+    for _ in range(draw(st.integers(3, 5))):
+        depth = draw(st.integers(0, 2))
+        cfg = TruncationConfig(depth, 0, shift, window_lo=min(-1, shift - depth),
+                               window_hi=draw(st.sampled_from([2, 3])))
+        q = suites.random_window_set(rng, 2, lo_range=(-1, 1), max_span=2, allow_degenerate=True)
+        comps = [pool[draw(st.integers(0, 2))] for _ in range(draw(st.integers(1, 2)))]
+        solves.append((draw(st.booleans()), q, comps, cfg, draw(st.booleans())))
+    return solves
+
+
+@SETTINGS
+@given(mixed_solves())
+def test_scalar_and_pareto_solves_through_one_memo_equal_fresh_solves(solves):
+    memo: dict = {}
+    for scalar, q, comps, cfg, base_graded in solves:
+        if scalar:
+            fresh = engine._phi_optimum(q, comps[0], cfg, base_graded)
+            same_certificate(engine._phi_optimum(q, comps[0], cfg, base_graded, memo=memo), fresh)
+            if not base_graded:
+                same_certificate(engine.phi_truncated(q, comps[0], cfg, memo=memo), fresh)
+        else:
+            shared = engine.RootFront(q, comps, cfg, engine.prune, base_graded, memo=memo)
+            same_root(shared, engine.RootFront(q, comps, cfg, engine.prune, base_graded))
 
 
 @st.composite
@@ -211,10 +264,11 @@ class TestPartialNodesAreNotShared:
     def test_the_node_is_read_back_only_where_it_is_full(self):
         memo: dict = {}
         engine.RootFront(self.A, self.COMPS, self.CFG, engine.prune, memo=memo)
-        [fronts] = memo.values()
+        [fronts] = front_tables(memo)
         assert (0, 0) in fronts  # (floor, rank)
         before = dict(fronts)
         engine.RootFront(self.B, self.COMPS, self.CFG, engine.prune, memo=memo)
+        assert front_tables(memo) == [fronts]
         # B's partial nodes are walked and not stored; its leaves are shared
         assert all(fronts[key] is front for key, front in before.items())
         assert all(floor == -2 for floor, _ in set(fronts) - set(before))

@@ -143,11 +143,13 @@ def test_public_names_are_classes_and_functions_of_the_package():
 
 
 def test_node_fronts_are_shared_only_by_their_owners():
-    """A memo of node fronts lives in one ``verify.phi_handle``, one
-    ``verify.psi_handle`` or one ``budgeted.psi_eps_grid`` call, and
-    ``engine`` keeps none of its own: a cache that outlived its owner would
-    serve repeated solves, such as a benchmark's passes, from memory, and
-    would keep every front alive."""
+    """A memo of node numerators, node fronts, frames and witness checks
+    lives in one ``verify.phi_handle``, one ``verify.psi_handle``, one
+    ``budgeted.psi_eps_grid`` call or one ``budgeted._chain`` call, and
+    reaches the walk and the certificate through ``engine.RootFront``;
+    ``engine`` keeps none at module level.  A cache that outlived its owner
+    would serve repeated solves, such as a benchmark's passes, from memory,
+    and would keep every front alive."""
     from ddmlab import engine
 
     root = Path(ddmlab.__file__).parent
@@ -164,9 +166,10 @@ def test_node_fronts_are_shared_only_by_their_owners():
     # RootFront.__init__ hands its own parameter to the walk, and
     # phi_truncated through _phi_optimum to RootFront
     assert sorted(set(owners)) == [
-        ("budgeted.py", "psi_eps_grid"), ("engine.py", "__init__"),
-        ("engine.py", "_phi_optimum"), ("engine.py", "phi_truncated"),
-        ("verify.py", "phi_handle"), ("verify.py", "psi_handle"),
+        ("budgeted.py", "_chain"), ("budgeted.py", "psi_eps_grid"),
+        ("engine.py", "__init__"), ("engine.py", "_phi_optimum"),
+        ("engine.py", "phi_truncated"), ("verify.py", "phi_handle"),
+        ("verify.py", "psi_handle"),
     ]
     # the memo is keyword-only, so no call passes it by position
     for fn in (engine._walk, engine.RootFront, engine._phi_optimum, engine.phi_truncated):
@@ -184,6 +187,43 @@ def test_node_fronts_are_shared_only_by_their_owners():
              for node in ast.walk(tree)}
     assert not names & {"functools", "lru_cache"}
     held = [name for name, value in vars(engine).items()
+            if not name.startswith("__") and isinstance(value, dict)]
+    assert held == []
+
+
+def test_price_tables_are_owned_by_the_chain_alone():
+    """A chain's node prices, witness checks and frame live in the one memo
+    of its ``budgeted._chain`` call, whose levels share one query and one
+    truncation; the memo is the only sharing keyword, so no parameter or
+    keyword anywhere is named ``prices``, and ``budgeted`` keeps no table at
+    module level, where it would serve a later chain, on another query,
+    from another chain's frame and prices."""
+    from ddmlab import budgeted, engine
+
+    root = Path(ddmlab.__file__).parent
+    prices = []
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        prices += [
+            f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.arg) and node.arg == "prices"
+            or isinstance(node, ast.keyword) and node.arg == "prices"
+        ]
+    assert prices == []
+    # the memo is the only keyword-only parameter of the walk, the root and
+    # the public solve
+    for fn in (engine._walk, engine.RootFront, engine._phi_optimum, engine.phi_truncated):
+        params = inspect.signature(fn).parameters
+        assert [p.name for p in params.values() if p.kind is p.KEYWORD_ONLY] == ["memo"]
+    # the memo test above checks ``engine`` for a module-level cache
+    tree = ast.parse((root / "budgeted.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        value = getattr(node, "value", None)
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and value is not None:
+            called = getattr(getattr(value, "func", None), "id", None)
+            assert not isinstance(value, (ast.Dict, ast.DictComp)), ast.dump(node)
+            assert called not in ("dict", "defaultdict", "OrderedDict"), ast.dump(node)
+    held = [name for name, value in vars(budgeted).items()
             if not name.startswith("__") and isinstance(value, dict)]
     assert held == []
 
@@ -226,43 +266,6 @@ def test_each_measure_answers_its_own_bound():
         for node in cls.body if isinstance(node, ast.FunctionDef) and node.name == "transfer"
     ]
     assert found == []
-
-
-def test_price_tables_are_owned_by_the_chain_alone():
-    """A table of node prices and witness checks lives in one
-    ``budgeted._chain`` call, whose levels share one query and one
-    truncation, and reaches the walk and the certificate through
-    ``engine.RootFront``; neither ``engine`` nor ``budgeted`` keeps one at
-    module level, where it would serve a later chain, on another query,
-    from another chain's frame and prices."""
-    from ddmlab import budgeted, engine
-
-    root = Path(ddmlab.__file__).parent
-    owners = []
-    for path in sorted(root.rglob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        owners += [
-            (path.name, scope.name)
-            for scope in ast.walk(tree) if isinstance(scope, ast.FunctionDef)
-            for node in ast.walk(scope)
-            if isinstance(node, ast.Call) and any(k.arg == "prices" for k in node.keywords)
-        ]
-    # RootFront.__init__ hands its own parameter to the walk
-    assert sorted(set(owners)) == [("budgeted.py", "_chain"), ("engine.py", "__init__")]
-    for fn in (engine._walk, engine.RootFront):
-        param = inspect.signature(fn).parameters["prices"]
-        assert (param.kind, param.default) == (inspect.Parameter.KEYWORD_ONLY, None)
-    # the memo test above checks ``engine`` for a module-level cache
-    tree = ast.parse((root / "budgeted.py").read_text(encoding="utf-8"))
-    for node in tree.body:
-        value = getattr(node, "value", None)
-        if isinstance(node, (ast.Assign, ast.AnnAssign)) and value is not None:
-            called = getattr(getattr(value, "func", None), "id", None)
-            assert not isinstance(value, (ast.Dict, ast.DictComp)), ast.dump(node)
-            assert called not in ("dict", "defaultdict", "OrderedDict"), ast.dump(node)
-    held = [name for name, value in vars(budgeted).items()
-            if not name.startswith("__") and isinstance(value, dict)]
-    assert held == []
 
 
 def test_symbolic_shares_values_only_in_capped_tables():
