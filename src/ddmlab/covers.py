@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 
 from . import measures, symbolic
 from .errors import GradingViolationError, RejectedInputError
@@ -88,7 +90,8 @@ class ValueCertificate:
 
 
 def is_valid_cover(q: symbolic.WindowSet, c: Cover) -> bool:
-    """Grading holds for every entry and the union of entries contains q."""
+    """Grading holds for every entry and the union of entries contains q,
+    read off the bits of q and the entries on their one hull."""
     for m, a in c.entries:
         if a.min_coordinate() < m + c.base_shift:
             return False
@@ -96,7 +99,10 @@ def is_valid_cover(q: symbolic.WindowSet, c: Cover) -> bool:
         return True
     if not c.entries:
         return False
-    return symbolic.is_subset(q, c.union(q.n))
+    _, bits = symbolic._on_hull(q.n, [q] + [a for _, a in c.entries])
+    if bits is None:  # every set degenerate, or a tree-form hull
+        return symbolic.is_subset(q, c.union(q.n))
+    return not bits[0] & ~reduce(or_, bits[1:])
 
 
 def cover_cost(c: Cover, phi: measures.CylinderMeasure) -> Fraction:

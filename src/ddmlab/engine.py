@@ -43,8 +43,9 @@ a memo their caller owns, keyed by all each entry depends on (:class:`_Walk`,
 grid, the levels of a psi chain (modules ``verify`` and ``budgeted``); the
 engine keeps no cache of its own.  Every optimum's witness is re-validated
 and re-priced on each component through the window-set path, and a mismatch
-raises :class:`CertificateError`.  An independent brute-force enumerator
-over grade labelings of the finest classes is the oracle for both problems.
+raises :class:`CertificateError`; a trace certified before reads its
+witness back.  An independent brute-force enumerator over grade labelings
+of the finest classes is the oracle for both problems.
 """
 
 from __future__ import annotations
@@ -304,20 +305,6 @@ def _take_attains(comps, take, k, at, n, span, rank):
     return all(mu.takes(at, word, k) for value, mu in zip(take, comps) if value)
 
 
-def _taken(trace):
-    """The (floor, rank) nodes taken in a trace, read through every tuple of
-    traces; none in the empty trace."""
-    out = []
-    stack = [trace] if trace else []
-    while stack:
-        trace = stack.pop()
-        if isinstance(trace[0], int):
-            out.append(trace)
-        else:
-            stack.extend(trace)
-    return out
-
-
 class RootFront:
     """The root front of one query's take-or-split walk under a keep rule,
     with the certificate of each option re-checked at most once.
@@ -326,17 +313,22 @@ class RootFront:
     Certificates of the scalar keep rule carry no cost vector; those of
     every other keep rule carry it.  Roots given one ``memo`` share what
     their keys allow, with no rule for the caller to keep: node numerators
-    and fronts (:class:`_Walk`), and per (q, cfg, base_graded) the frame
-    and the witness checks, a witness validated once and priced once per
-    measure, which every certificate compares with its own vector.
+    and fronts (:class:`_Walk`), and per (q, cfg, base_graded) the frame,
+    the witness per certified trace and the prices per witness, a witness
+    validated once and priced once per measure, which every certificate
+    compares with its own vector.
     """
 
     def __init__(self, q, comps, cfg, keep, base_graded=False, *, memo=None):
         self.q, self.comps, self.cfg, self.base_graded = q, comps, cfg, base_graded
         self.vector = keep is not _cheapest
-        key = (q, cfg, base_graded)  # its frame, and each checked witness's price per measure
-        root = memo and memo.get(key) or (build_frame(q, cfg, base_graded), {})
-        self.frame, self.checks = root if memo is None else memo.setdefault(key, root)
+        key = (q, cfg, base_graded)  # its frame, witness per trace and prices per witness
+        root = None if memo is None else memo.get(key)
+        if root is None:
+            root = (build_frame(q, cfg, base_graded), {}, {})
+            if memo is not None:
+                memo[key] = root
+        self.frame, self.witnesses, self.checks = root
         self.options = _walk(self.frame, comps, keep, memo=memo)
         self._certificates: dict[int, ValueCertificate] = {}
 
@@ -368,10 +360,16 @@ class RootFront:
 
 
 def _witness(root: RootFront, trace) -> Cover:
+    """The cover of a trace's taken nodes, in one pass over the trace."""
     frame = root.frame
     per_floor: dict[int, list] = {}
-    for floor, rank in _taken(trace):
-        per_floor.setdefault(floor, []).append(rank)
+    stack = [trace] if trace else []
+    while stack:
+        trace = stack.pop()
+        if isinstance(trace[0], int):
+            per_floor.setdefault(trace[0], []).append(trace[1])
+        else:
+            stack.extend(trace)
     entries = []
     for floor in sorted(per_floor, reverse=True):
         window = symbolic._window(floor, frame.whi)
@@ -384,12 +382,17 @@ def _witness(root: RootFront, trace) -> Cover:
 
 def _certificate(root: RootFront, option) -> ValueCertificate:
     """Certificate of a root option, whose witness is re-validated and
-    re-priced on every cost component through the window-set path."""
+    re-priced on every cost component through the window-set path; a
+    witness gets its price table only once it is valid."""
     vec, trace = option
-    witness = _witness(root, trace)
-    prices = root.checks.setdefault(witness, {})  # holds a price only once the witness is valid
-    if not prices and not covers.is_valid_cover(root.q, witness):
-        raise CertificateError("the witness is not a graded cover of the query")
+    witness = root.witnesses.get(trace)
+    if witness is None:
+        witness = root.witnesses[trace] = _witness(root, trace)
+    prices = root.checks.get(witness)
+    if prices is None:
+        if not covers.is_valid_cover(root.q, witness):
+            raise CertificateError("the witness is not a graded cover of the query")
+        prices = root.checks[witness] = {}
     for k, mu in enumerate(root.comps):
         price = prices.get(mu)
         if price is None:

@@ -321,13 +321,12 @@ class WindowSet:
         n = self.n
         if isinstance(bits, _Node):
             bits = _tree_bits(n, bits, hi - lo + 1, {})
-        # extend on the right first: one new least-significant digit at a time
-        for _ in range(window.hi - hi):
-            run, new = (1 << n) - 1, 0
-            for r in bit_ranks(bits):
-                new |= run << (r * n)
-            bits = new
-            hi += 1
+        # extend on the right first: rank r becomes the ranks r * rep to
+        # r * rep + rep - 1, so every binary digit is repeated rep times
+        rep = n ** (window.hi - hi)
+        if rep > 1:
+            bits = int(bin(bits)[2:].replace("0", "0" * rep).replace("1", "1" * rep), 2)
+        hi = window.hi
         # then on the left: replicate for each new most-significant digit
         size = n ** (hi - lo + 1)
         for _ in range(lo - window.lo):

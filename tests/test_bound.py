@@ -352,7 +352,7 @@ def test_bound_keeps_value_and_witness(instance, kind, base_graded):
 
 def front_of(q, comps, cfg):
     root = engine.RootFront(q, comps, cfg, budgeted.prune)
-    return root.frame, [(vec, sorted(engine._taken(trace))) for vec, trace in root.options]
+    return root.frame, [(vec, engine._witness(root, trace)) for vec, trace in root.options]
 
 
 def nondominated(vectors):

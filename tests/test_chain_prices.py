@@ -136,6 +136,25 @@ def test_each_price_and_each_witness_check_is_made_once(monkeypatch):
     assert counts[1][1:] == (1 + 3, 1 + 2 + 3 + 4)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 5])
+@pytest.mark.parametrize("signed", [False, True])
+def test_a_trace_picked_again_reads_its_witness_back(monkeypatch, seed, signed):
+    # the surrogate and three levels certify four options; a level that picks
+    # a trace certified before builds no witness for it
+    q, psis, cfg, eps = cyl(0, 0, 1), three_levels(seed), TruncationConfig(1, 1, 0), F(1, 8)
+    scales = [F(1, 2), F(0), F(1, 4)] if signed else [F(0)] * 3
+    objectives = [measures.SignedDiffMeasure(p, c, PHI) if c else p for p, c in zip(psis, scales)]
+    reference = level_by_level(q, PHI, objectives, eps, cfg)
+    traces = []
+    witness = engine._witness
+    monkeypatch.setattr(engine, "_witness", lambda root, trace: traces.append(trace)
+                        or witness(root, trace))
+    certs = psi_signed(q, PHI, psis, scales, eps, cfg) if signed else psi_chain(
+        q, PHI, psis, eps, cfg)
+    assert certs == reference
+    assert len(traces) == len(set(traces)) < 1 + len(certs)
+
+
 def test_a_mispriced_level_still_fails_its_certificate(monkeypatch):
     # levels 1 and 2 pick one witness, so level 2 finds it re-checked and
     # priced already; its mispriced vector must still be caught

@@ -113,6 +113,37 @@ def test_wide_sets_trim_block_by_block(n, span, seed, extra, flip):
         assert symbolic._canonical_key(n, window, wide, False) == expected
 
 
+def reference_bits_on(s, window):
+    """The set's bitset on a containing window, rank by rank: a rank is a
+    member when its word's restriction to the canonical window is."""
+    key, n = s.canonical_key(), s.n
+    if key in (("full",), ("empty",)):
+        return (1 << n ** window.span) - 1 if key == ("full",) else 0
+    lo, hi, bits = key
+    right, cells = n ** (window.hi - hi), n ** (hi - lo + 1)
+    return sum(1 << rank for rank in range(n ** window.span) if bits >> (rank // right % cells) & 1)
+
+
+@SETTINGS
+@given(st.sampled_from([2, 3]), st.integers(1, 3), st.data(), st.integers(-2, 2),
+       st.integers(0, 2), st.integers(0, 3), st.sampled_from([None, "full", "empty"]))
+def test_bits_on_widens_as_the_rank_by_rank_reference(n, span, data, lo, left, right, degenerate):
+    # sparse, dense and general sets, widened on both sides
+    span = min(span, 2) if n == 3 else span
+    cells = n ** span
+    bits = data.draw(st.one_of(
+        st.integers(1, (1 << cells) - 1),
+        st.integers(0, cells - 1).map(lambda r: 1 << r),
+        st.integers(0, cells - 1).map(lambda r: (1 << cells) - 1 - (1 << r)),
+    ), label="bits")
+    if degenerate:
+        s = WindowSet.full_space(n) if degenerate == "full" else WindowSet.empty(n)
+    else:
+        s = WindowSet(n, Window(lo, lo + span - 1), bits)
+    window = Window(lo - left, lo + span - 1 + right)
+    assert s.bits_on(window) == reference_bits_on(s, window)
+
+
 @SETTINGS
 @given(raw_sets(), st.sampled_from([None, "full", "empty"]))
 def test_literal_round_trip(raw, degenerate):

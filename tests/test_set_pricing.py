@@ -6,7 +6,7 @@ cell values; a chain adds its path products over one denominator, a point
 mass tests one bit and a mix weighs its parts' set values.  Every kind must
 price a set exactly as the sum of its cells.  Three or more fronts of one
 option each are summed into one option whose trace is the tuple of their
-traces, and ``engine._taken`` must read the same nodes from it as from
+traces, and ``engine._witness`` must read the same nodes from it as from
 nested pairs.
 """
 
@@ -20,6 +20,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from ddmlab import engine, measures, suites
+from ddmlab.covers import TruncationConfig
 from ddmlab.symbolic import Window, WindowSet
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -100,6 +101,17 @@ def test_a_kind_with_cell_values_alone_prices_sets_by_their_sum():
     assert mu.cells[3:] == [(0, (1, 1))]
 
 
+def taken(trace):
+    """The (floor, rank) nodes of a trace, read back off the entries of its
+    witness on a depth-2 frame over [-2, 2]: entry m holds the ranks of the
+    nodes taken at floor m on [m, 2]."""
+    root = engine.RootFront(WindowSet.cylinder(2, 0, (0, 1, 0)), [measures.BernoulliMeasure(
+        (F(1, 2), F(1, 2)))], TruncationConfig(2), engine._cheapest)
+    assert (root.frame.floor0, root.frame.whi) == (0, 2)
+    witness = engine._witness(root, trace)
+    return sorted((m, r) for m, a in witness.entries for r in a.ranks_on(Window(m, 2)))
+
+
 def test_a_trace_names_the_same_nodes_nested_or_flat():
     nodes = [(0, 1), (0, 3), (-1, 5), (-1, 2), (-2, 7)]
     nested = nodes[0]
@@ -108,8 +120,8 @@ def test_a_trace_names_the_same_nodes_nested_or_flat():
     flat = tuple(nodes)
     mixed = ((nodes[0], nodes[1]), (nodes[2],), (nodes[3], (nodes[4],)))
     for trace in (nested, flat, mixed):
-        assert sorted(engine._taken(trace)) == sorted(nodes)
-    assert engine._taken(()) == []
+        assert taken(trace) == sorted(nodes)
+    assert taken(()) == []
 
 
 def test_one_option_fronts_sum_to_one_option_with_a_flat_trace():
@@ -121,5 +133,5 @@ def test_one_option_fronts_sum_to_one_option_with_a_flat_trace():
     fronts.append([((0, 1), (0, 3)), ((1, 0), (0, 4))])
     pairs = engine._combine(fronts, engine.prune)
     assert [vec for vec, _ in pairs] == [(9, 13), (10, 12)]
-    assert [sorted(engine._taken(t)) for _, t in pairs] == [
+    assert [taken(t) for _, t in pairs] == [
         [(-1, 0), (-1, 2), (0, 0), (0, 1), (0, 3)], [(-1, 0), (-1, 2), (0, 0), (0, 1), (0, 4)]]

@@ -14,7 +14,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from ddmlab import engine, measures, suites, symbolic
-from ddmlab.covers import TruncationConfig, cover_cost, is_valid_cover
+from ddmlab.covers import Cover, TruncationConfig, cover_cost, is_valid_cover
 from ddmlab.errors import BitsetCapError, GradingViolationError
 from ddmlab.symbolic import Window, WindowSet
 from ddmlab.verify import FiniteAlgebra
@@ -125,6 +125,38 @@ def test_hull_predicates_and_unions_agree_with_set_algebra(seed, n, count, trees
         assert union.canonicalize() is union
         if trees and not union.is_degenerate:
             assert isinstance(union.canonical_key()[2], symbolic._Node)
+
+
+@SETTINGS
+@given(st.integers(0, 2 ** 16), st.sampled_from([2, 3]), st.integers(0, 3),
+       st.sampled_from(["", "empty query", "full entry", "tree entry"]), st.booleans())
+def test_validity_on_one_hull_equals_a_subset_of_the_union(seed, n, count, case, inside):
+    """``is_valid_cover`` reads q and every entry on their one hull; its
+    answer must equal the grading test and ``is_subset`` of q in
+    ``union_all`` of the entries, with an empty query, an empty cover, a
+    full-space entry and an entry whose window holds more than TREE_CELLS
+    words, which sends the hull to the tree path."""
+    rng = random.Random(seed)
+    span = 3 if n == 2 else 2
+    sets = [suites.random_window_set(rng, n, (-2, 1), span, allow_degenerate=True)
+            for _ in range(count)]
+    if case == "full entry":
+        sets.append(WindowSet.full_space(n))
+    elif case == "tree entry":
+        long = 17 if n == 2 else 11  # n ** long > TREE_CELLS
+        sets.append(WindowSet.cylinder(n, rng.randint(-2, 1),
+                                       [rng.randrange(n) for _ in range(long)]))
+        assert isinstance(sets[-1].canonical_key()[2], symbolic._Node)
+    q = suites.random_window_set(rng, n, (-2, 1), span, allow_degenerate=True)
+    if case == "empty query":
+        q = WindowSet.empty(n)
+    elif inside:  # a query the entries cover
+        q = symbolic.intersection(q, symbolic.union_all(n, sets))
+    cover = Cover(tuple((rng.randint(-4, 0), a) for a in sets), base_shift=rng.choice([0, -1]))
+    graded = all(a.min_coordinate() >= m + cover.base_shift for m, a in cover.entries)
+    union = symbolic.union_all(n, [a for _, a in cover.entries])
+    expected = graded and symbolic.is_subset(q, union)
+    assert is_valid_cover(q, cover) == expected
 
 
 @SETTINGS
