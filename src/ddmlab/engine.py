@@ -37,11 +37,12 @@ component per measure, reduced by a ``keep`` rule: the scalar problem is
 the one-component case that keeps the first cheapest option, and budgeted
 problems (module ``budgeted``) keep the Pareto antichain left by
 :func:`prune`.  Costs are integer numerators, one denominator per
-component, made rationals only at the root.  Solves may share work through
-a memo their caller owns, keyed by all each entry depends on (:class:`_Walk`,
-:class:`RootFront`): the queries of a phi or psi handle, the shifts of a psi
-grid, the levels of a psi chain (modules ``verify`` and ``budgeted``); the
-engine keeps no cache of its own.  Every optimum's witness is re-validated
+component, up to the root front; only a certificate's re-price makes
+rationals.  Solves may share work through a memo their caller owns, keyed
+by all each entry depends on (:class:`_Walk`, :class:`RootFront`): the
+queries of a phi or psi handle, the shifts of a psi grid, the levels of a
+psi chain (modules ``verify`` and ``budgeted``); the engine keeps no cache
+of its own.  Every optimum's witness is re-validated
 and re-priced on each component through the window-set path, and a mismatch
 raises :class:`CertificateError`; a trace certified before reads its
 witness back.  An independent brute-force enumerator over grade labelings
@@ -269,12 +270,13 @@ class _Walk:
 
 def _walk(frame: Frame, comps, keep, *, memo=None):
     """Root front of (cost vector, trace) options of the take-or-split tree,
-    as a tuple.
+    as a tuple, and the walk's ``dens``.
 
-    A vector has one component per measure of ``comps``.  A trace is either
-    the pair (floor, rank) of a taken node or a tuple of traces, whose taken
-    nodes together make up a sum of options.  A frame with no cells has the
-    single option of the empty cover, at cost 0 in every component.  Walks
+    A vector has one integer numerator per measure of ``comps``, over that
+    component's entry of ``dens``.  A trace is either the pair (floor, rank)
+    of a taken node or a tuple of traces, whose taken nodes together make up
+    a sum of options.  A frame with no cells has the single option of the
+    empty cover, at cost 0 over 1 in every component.  Walks
     given one ``memo`` share each node's numerator under each measure and
     the fronts of full nodes and leaves, each where its key allows
     (:class:`_Walk`).
@@ -284,10 +286,10 @@ def _walk(frame: Frame, comps, keep, *, memo=None):
     for cell in frame.cells:
         roots.setdefault(cell % size, []).append(cell)
     if not roots:
-        return (((ZERO,) * len(comps), ()),)
+        return (((0,) * len(comps), ()),), (1,) * len(comps)
     walk = _Walk(frame, comps, keep, memo)
     front = _combine([walk.node(r, c, frame.floor0) for r, c in sorted(roots.items())], keep)
-    return tuple((tuple(map(Fraction, vec, walk.dens)), trace) for vec, trace in front)
+    return tuple(front), walk.dens
 
 
 def _take_attains(comps, take, k, at, n, span, rank):
@@ -309,9 +311,11 @@ class RootFront:
     """The root front of one query's take-or-split walk under a keep rule,
     with the certificate of each option re-checked at most once.
 
-    ``options`` is the tuple of (cost vector, trace) options of the root.
-    Certificates of the scalar keep rule carry no cost vector; those of
-    every other keep rule carry it.  Roots given one ``memo`` share what
+    ``options`` is the tuple of (cost vector, trace) options of the root, a
+    vector's components integer numerators over the entries of ``dens``;
+    only a certificate's re-price makes rationals.  Certificates of the
+    scalar keep rule carry no cost vector; those of every other keep rule
+    carry it.  Roots given one ``memo`` share what
     their keys allow, with no rule for the caller to keep: node numerators
     and fronts (:class:`_Walk`), and per (q, cfg, base_graded) the frame,
     the witness per certified trace and the prices per witness, a witness
@@ -329,7 +333,7 @@ class RootFront:
             if memo is not None:
                 memo[key] = root
         self.frame, self.witnesses, self.checks = root
-        self.options = _walk(self.frame, comps, keep, memo=memo)
+        self.options, self.dens = _walk(self.frame, comps, keep, memo=memo)
         self._certificates: dict[int, ValueCertificate] = {}
 
     def certificate(self, k: int) -> ValueCertificate:
@@ -341,9 +345,11 @@ class RootFront:
 
     def cheapest(self, bounds=()) -> ValueCertificate:
         """Certificate of the least option whose components 1..k stay
-        strictly below ``bounds``; InfeasibleError when there is none."""
+        strictly below ``bounds``; InfeasibleError when there is none.  A
+        numerator v over d is below b exactly when v < ceil(b * d)."""
         options = self.options
-        feasible = [k for k, (vec, _) in enumerate(options) if all(map(lt, vec[1:], bounds))]
+        limits = [-(-b.numerator * d // b.denominator) for b, d in zip(bounds, self.dens[1:])]
+        feasible = [k for k, (vec, _) in enumerate(options) if all(map(lt, vec[1:], limits))]
         if not feasible:
             raise InfeasibleError(f"no cover meets the budgets {bounds} at this truncation")
         return self.certificate(min(feasible, key=lambda k: options[k][0]))
@@ -393,14 +399,15 @@ def _certificate(root: RootFront, option) -> ValueCertificate:
         if not covers.is_valid_cover(root.q, witness):
             raise CertificateError("the witness is not a graded cover of the query")
         prices = root.checks[witness] = {}
-    for k, mu in enumerate(root.comps):
+    for k, (mu, d) in enumerate(zip(root.comps, root.dens)):
         price = prices.get(mu)
         if price is None:
             price = prices[mu] = covers.cover_cost(witness, mu)
-        if price != vec[k]:
+        if price.numerator * d != vec[k] * price.denominator:
             raise CertificateError(
-                f"the witness prices cost component {k} at {price}, not {vec[k]}"
+                f"the witness prices cost component {k} at {price}, not {Fraction(vec[k], d)}"
             )
+    vec = tuple(prices[mu] for mu in root.comps)
     return ValueCertificate(vec[0], witness, root.cfg, vec if root.vector else None)
 
 

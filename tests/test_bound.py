@@ -352,7 +352,8 @@ def test_bound_keeps_value_and_witness(instance, kind, base_graded):
 
 def front_of(q, comps, cfg):
     root = engine.RootFront(q, comps, cfg, budgeted.prune)
-    return root.frame, [(vec, engine._witness(root, trace)) for vec, trace in root.options]
+    return root.frame, [(tuple(map(F, vec, root.dens)), engine._witness(root, trace))
+                        for vec, trace in root.options]
 
 
 def nondominated(vectors):

@@ -164,10 +164,11 @@ def test_a_mispriced_level_still_fails_its_certificate(monkeypatch):
     walk = engine._walk
 
     def mispriced(frame, comps, keep, **kwargs):
-        options = walk(frame, comps, keep, **kwargs)
+        options, dens = walk(frame, comps, keep, **kwargs)
         if len(comps) < 4:  # the surrogate and levels 0 and 1
-            return options
-        return tuple(((*vec[:3], vec[3] + F(1, 1000)), trace) for vec, trace in options)
+            return options, dens
+        # one more on a numerator: the least mispricing an integer front carries
+        return tuple(((*vec[:3], vec[3] + 1), trace) for vec, trace in options), dens
 
     validated = []
     valid = covers.is_valid_cover

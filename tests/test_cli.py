@@ -247,8 +247,10 @@ def test_front_cap_is_a_resource_error(tmp_path, capsys, monkeypatch):
         loaded.window_set("left"), chain, ((point, F(1, 2)),), loaded.config("c")
     )
     # the chain and the point mass trade off: two vectors at the root
-    front = engine.RootFront(problem.q, [chain, point], problem.cfg, budgeted.prune).options
-    assert [vec for vec, _ in front] == [(F(1, 3), F(1)), (F(5, 6), F(0))]
+    root = engine.RootFront(problem.q, [chain, point], problem.cfg, budgeted.prune)
+    assert [tuple(map(F, vec, root.dens)) for vec, _ in root.options] == [
+        (F(1, 3), F(1)), (F(5, 6), F(0))
+    ]
     assert psi_budgeted(problem).value == F(5, 6)
     monkeypatch.setattr(engine, "FRONT_CAP", 1)
     with pytest.raises(BudgetExceededError, match=r"\(engine\.FRONT_CAP = 1\)"):

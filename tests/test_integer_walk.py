@@ -3,12 +3,13 @@
 Each cost component of a walk is an integer numerator over one denominator,
 which the component's measure reports through ``denominator(at, length)``
 for the words the walk prices; fronts are added and compared as integers
-and turned back into rationals only at the root.  A node is named by its
-floor and the rank of its word, and a set is built from ranks.  These tests
-pin the reported denominators against the cell values, the re-check that
-catches a measure reporting too small a one, the memo keys that keep fronts
-and numerators of different scales and right edges apart, and the rank constructors
-against the word constructors.
+up to the root, and only a certificate's re-price makes rationals.  A node
+is named by its floor and the rank of its word, and a set is built from
+ranks.  These tests pin the reported denominators against the cell values,
+the re-check that catches a measure reporting too small a one, the memo
+keys that keep fronts and numerators of different scales and right edges
+apart, the integer bound thresholds against a rational filter, and the
+rank constructors against the word constructors.
 """
 
 import json
@@ -23,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 from ddmlab import cli, engine, measures, suites, symbolic
 from ddmlab.covers import TruncationConfig
-from ddmlab.errors import CertificateError, RejectedInputError
+from ddmlab.errors import CertificateError, InfeasibleError, RejectedInputError
 from ddmlab.symbolic import Window, WindowSet
 
 SETTINGS = settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -134,11 +135,16 @@ def test_walks_at_different_denominators_keep_their_own_fronts(monkeypatch):
     q = WindowSet.cylinder(2, 0, [0])
     cfg = TruncationConfig(2, 0, 0, window_lo=-2, window_hi=0)
     memo: dict = {}
-    first = engine.RootFront(q, [mu], cfg, engine._cheapest, memo=memo).options
+
+    def rationals(**kwargs):
+        root = engine.RootFront(q, [mu], cfg, engine._cheapest, **kwargs)
+        return [(tuple(map(F, vec, root.dens)), trace) for vec, trace in root.options]
+
+    first = rationals(memo=memo)
     reported = mu.denominator
     monkeypatch.setattr(mu, "denominator", lambda at, length: 2 * reported(at, length))
-    second = engine.RootFront(q, [mu], cfg, engine._cheapest, memo=memo).options
-    assert first == second == engine.RootFront(q, [mu], cfg, engine._cheapest).options
+    second = rationals(memo=memo)
+    assert first == second == rationals()
     # fronts are kept by (keep, comps, at, floor_d, whi, dens), numerators
     # by (at, whi, measure, denominator)
     fronts = {key[-1]: memo[key] for key in memo if key[0] is engine._cheapest}
@@ -170,13 +176,43 @@ def test_walks_with_different_right_edges_keep_their_own_fronts():
 @SETTINGS
 @given(st.integers(0, 2 ** 16), st.integers(0, 2), st.sampled_from([0, -1, -2]))
 def test_root_vectors_are_rationals(seed, depth, shift):
+    # a root option stays integer numerators over ``dens``; its certificate
+    # carries the re-priced rationals, which equal the option
     rng = random.Random(seed)
     q = suites.random_window_set(rng, 2, lo_range=(-1, 1), max_span=2, allow_degenerate=True)
     comps = [draw_measure(rng, 2, rng.choice(KINDS)), draw_measure(rng, 2, "convex")]
     root = engine.RootFront(q, comps, TruncationConfig(depth, 1, shift), engine.prune)
     for k, (vec, _) in enumerate(root.options):
-        assert all(type(v) is F for v in vec)
-        assert root.certificate(k).vector == vec
+        cert = root.certificate(k)
+        assert all(type(v) is F for v in (cert.value, *cert.vector))
+        assert cert.vector == tuple(map(F, vec, root.dens))
+
+
+@SETTINGS
+@given(st.integers(0, 2 ** 16), st.integers(2, 4), st.integers(0, 2),
+       st.lists(st.sampled_from(("on", "below", "above", "free")), min_size=3, max_size=3))
+def test_cheapest_filters_numerators_as_the_rationals_they_stand_for(seed, size, depth, places):
+    # each bound is read as the integer threshold ceil(b * d); the test
+    # filters the options as rationals instead: strictly below every bound,
+    # the least vector first.  A bound may sit exactly on an option's
+    # component, just off it, or anywhere in [-40, 40], signed fronts included
+    rng = random.Random(seed)
+    q = suites.random_window_set(rng, 2, lo_range=(-1, 1), max_span=2, allow_degenerate=True)
+    comps = [draw_measure(rng, 2, rng.choice(KINDS)) for _ in range(size)]
+    root = engine.RootFront(q, comps, TruncationConfig(depth, 1, 0), engine.prune)
+    rationals = [tuple(map(F, vec, root.dens)) for vec, _ in root.options]
+    bounds = []
+    for j, place in enumerate(places[:size - 1], 1):
+        on = rng.choice(rationals)[j]
+        offset = {"on": 0, "below": -F(1, 10 ** 9), "above": F(1, 10 ** 9)}.get(place)
+        bounds.append(F(rng.randint(-40, 40), rng.randint(1, 20)) if offset is None else on + offset)
+    feasible = [k for k, vec in enumerate(rationals)
+                if all(v < b for v, b in zip(vec[1:], bounds))]
+    if not feasible:
+        with pytest.raises(InfeasibleError):
+            root.cheapest(bounds)
+        return
+    assert root.cheapest(bounds) is root.certificate(min(feasible, key=rationals.__getitem__))
 
 
 class TestRankConstructors:

@@ -125,15 +125,17 @@ def reference_bits_on(s, window):
 
 
 @SETTINGS
-@given(st.sampled_from([2, 3]), st.integers(1, 3), st.data(), st.integers(-2, 2),
+@given(st.sampled_from([2, 3]), st.integers(1, 7), st.data(), st.integers(-2, 2),
        st.integers(0, 2), st.integers(0, 3), st.sampled_from([None, "full", "empty"]))
 def test_bits_on_widens_as_the_rank_by_rank_reference(n, span, data, lo, left, right, degenerate):
-    # sparse, dense and general sets, widened on both sides
-    span = min(span, 2) if n == 3 else span
+    # sparse, dense and general sets of up to 128 cells, widened on both sides
+    span = min(span, 4) if n == 3 else span
     cells = n ** span
     bits = data.draw(st.one_of(
         st.integers(1, (1 << cells) - 1),
         st.integers(0, cells - 1).map(lambda r: 1 << r),
+        st.sets(st.integers(0, cells - 1), min_size=1, max_size=6).map(
+            lambda ranks: sum(1 << r for r in ranks)),
         st.integers(0, cells - 1).map(lambda r: (1 << cells) - 1 - (1 << r)),
     ), label="bits")
     if degenerate:

@@ -109,6 +109,26 @@ def test_walk_and_certificate_stay_inside_the_engine():
     assert found == []
 
 
+def test_root_fronts_stay_integer_until_a_certificate():
+    """The walk adds and compares integer numerators, and a root front keeps
+    them up to the certificate, whose re-price through ``covers`` makes the
+    rationals; ``_walk``, ``_Walk`` and ``RootFront`` make no ``Fraction``,
+    and read no ``ZERO``, which is one."""
+    root = Path(ddmlab.__file__).parent
+    tree = ast.parse((root / "engine.py").read_text(encoding="utf-8"))
+    parts = [
+        node for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name in ("_walk", "_Walk", "RootFront")
+    ]
+    assert len(parts) == 3
+    found = [
+        f"engine.py:{node.lineno} {node.id}" for part in parts for node in ast.walk(part)
+        if isinstance(node, ast.Name) and node.id in ("Fraction", "ZERO")
+    ]
+    assert found == []
+
+
 def test_verification_sizes_are_constants_not_parameters():
     # case counts, grids and slacks are fixed; the report names embed them
     from ddmlab import examples, suites, verify
