@@ -4,11 +4,11 @@ A budgeted problem minimizes the objective cover cost over truncated covers
 whose auxiliary costs stay strictly below given bounds.  It runs the
 engine's take-or-split walk with one cost component per measure (objective
 first, then one per constraint) and keeps at each node the antichain left by
-:func:`prune`: componentwise dominance prunes exactly, because budget
-feasibility and the objective are both monotone in every component.  The
-root front never depends on the bounds, so one front answers every slack.
-No nonnegativity is assumed, so signed objectives and signed constraint
-measures are handled by the same code.
+:func:`engine.prune`, or with no constraint the cheapest option: dominance
+prunes exactly, because budget feasibility and the objective are both
+monotone in every component.  The root front never depends on the bounds,
+so one front answers every slack.  No nonnegativity is assumed, so signed
+objectives and signed constraint measures are handled by the same code.
 
 Values computed here are optima over disjoint witnesses (grade labelings of
 the refinement tree); for nonnegative measures this coincides with the
@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from . import engine, measures, symbolic
 from .covers import TruncationConfig, ValueCertificate
-from .engine import prune
+from .engine import prune  # unused here: perfbench's tracer finds engine.prune by this name
 from .errors import DimensionCapError, InfeasibleError, RejectedInputError
 
 CHAIN_CAP = 3
@@ -53,7 +53,7 @@ def psi_budgeted(p: BudgetedProblem) -> ValueCertificate:
     signals the slack is too small for this truncation.
     """
     comps = [p.objective] + [m for m, _ in p.constraints]
-    return engine.RootFront(p.q, comps, p.cfg, prune).cheapest([b for _, b in p.constraints])
+    return engine.RootFront(p.q, comps, p.cfg).cheapest([b for _, b in p.constraints])
 
 
 def brute_force_psi(p: BudgetedProblem) -> tuple[Fraction, tuple[Fraction, ...]]:
@@ -130,7 +130,7 @@ def psi_eps_grid(
     if not phi.nonnegative:
         raise RejectedInputError("cover optimization needs a nonnegative measure")
     memo: dict = {}
-    roots = [engine.RootFront(q, [psi, phi], cell_cfg, prune, memo=memo) for cell_cfg in sweep]
+    roots = [engine.RootFront(q, [psi, phi], cell_cfg, memo=memo) for cell_cfg in sweep]
     surrogate = roots[-1].least(1).vector[1]
     cells = {}
     for eps in eps_list:
@@ -160,7 +160,7 @@ def _chain(q, phi, objectives, eps, cfg):
     comps, bounds = [phi], [engine.phi_truncated(q, phi, cfg, memo=memo).value + eps]
     certs = []
     for objective in objectives:
-        cert = engine.RootFront(q, [objective] + comps, cfg, prune, memo=memo).cheapest(bounds)
+        cert = engine.RootFront(q, [objective] + comps, cfg, memo=memo).cheapest(bounds)
         certs.append(cert)
         comps.append(objective)
         bounds.append(cert.value + eps)

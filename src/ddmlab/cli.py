@@ -291,6 +291,9 @@ def main(argv=None) -> int:
     try:
         if args.decimal is not None and args.decimal < 0:
             raise RejectedInputError(f"--decimal K must be nonnegative, got {args.decimal}")
+        if args.name is not None and args.command not in ("example", "verify"):
+            raise RejectedInputError(f"the {args.command} command takes no name, not "
+                                     f"{args.name!r}; only example and verify take one")
         spec = load_spec(args.spec) if args.spec else default_spec()
         payload = expect_object(spec.commands.get(args.command, {}), f"the {args.command} command")
         out, code = COMMANDS[args.command](spec, payload, args)

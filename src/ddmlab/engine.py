@@ -27,26 +27,25 @@ cost component is either 0 at the node or answers
 :meth:`measures.CylinderMeasure.takes` true, taking the node attains the
 subtree's optimum and its children are not expanded.  A node of any
 kind, full or partial, that costs 0 in every component is taken as well,
-since 0 bounds its subtree below.  Take wins ties in every keep rule, so
-the bound changes no value, witness or front.  Components that may be
+since 0 bounds its subtree below.  Take wins ties under either keep rule,
+so the bound changes no value, witness or front.  Components that may be
 negative are never bounded.
 
 One walk of this tree serves every optimizer, through :class:`RootFront`.
 Each node returns a front of (cost vector, trace) options, one cost
-component per measure, reduced by a ``keep`` rule: the scalar problem is
-the one-component case that keeps the first cheapest option, and budgeted
-problems (module ``budgeted``) keep the Pareto antichain left by
-:func:`prune`.  Costs are integer numerators, one denominator per
-component, up to the root front; only a certificate's re-price makes
-rationals.  Solves may share work through a memo their caller owns, keyed
-by all each entry depends on (:class:`_Walk`, :class:`RootFront`): the
-queries of a phi or psi handle, the shifts of a psi grid, the levels of a
-psi chain (modules ``verify`` and ``budgeted``); the engine keeps no cache
-of its own.  Every optimum's witness is re-validated
-and re-priced on each component through the window-set path, and a mismatch
-raises :class:`CertificateError`; a trace certified before reads its
-witness back.  An independent brute-force enumerator over grade labelings
-of the finest classes is the oracle for both problems.
+component per measure.  One component, the scalar problem, keeps the first
+cheapest option; more, the budgeted problems (module ``budgeted``), keep
+the Pareto antichain left by :func:`prune`.  Costs are integer numerators,
+one denominator per component, up to the root front; only a certificate's
+re-price makes rationals.  Solves may share work through a memo their
+caller owns, keyed by all each entry depends on (:class:`_Walk`,
+:class:`RootFront`): the queries of a phi or psi handle, the shifts of a
+psi grid, the levels of a psi chain (modules ``verify`` and ``budgeted``);
+the engine keeps no cache of its own.  Every optimum's witness is
+re-validated and re-priced on each component through the window-set path,
+and a mismatch raises :class:`CertificateError`; a trace certified before
+reads its checked witness back.  An independent brute-force enumerator
+over grade labelings of the finest classes is the oracle for both problems.
 """
 
 from __future__ import annotations
@@ -154,12 +153,8 @@ def prune(items):
 
 
 def _cheapest(options):
-    """Scalar keep rule: the first cheapest option, so a tie goes to take."""
-    best = options[0]
-    for option in options[1:]:
-        if option[0][0] < best[0][0]:
-            best = option
-    return [best]
+    """Keep rule of one component: the first cheapest option, so a tie goes to take."""
+    return [min(options, key=itemgetter(0))]
 
 
 def _combine(fronts, keep):
@@ -195,16 +190,17 @@ class _Walk:
     ``at`` every node is read at, the right edge, the measure and its
     denominator, then by (floor, rank).  Below a full node every left
     extension of the word lies in Q, and a leaf has nothing below it, so the
-    front of either is kept, as a tuple, by (keep, comps, at, floor_d, whi,
-    dens), then by (floor, rank).  A partial node's front depends on the
+    front of either is kept, as a tuple, by (comps, at, floor_d, whi, dens),
+    then by (floor, rank).  A partial node's front depends on the
     cells of Q below it and is never kept.
     """
 
     __slots__ = ("n", "comps", "dens", "keep", "qlo", "floor_d", "whi", "at", "bounded",
                  "count", "fronts", "nums")
 
-    def __init__(self, frame: Frame, comps, keep, memo):
-        self.n, self.comps, self.keep = frame.n, comps, keep
+    def __init__(self, frame: Frame, comps, memo):
+        self.n, self.comps = frame.n, comps
+        self.keep = prune if len(comps) > 1 else _cheapest  # picked by the width alone
         self.qlo, self.whi = frame.qlo, frame.whi  # a node with floor <= qlo is full
         floor_d = self.floor_d = frame.floor(-frame.depth)
         at = self.at = frame.floor0 - frame.base_shift  # the coordinate every node is read at
@@ -213,7 +209,7 @@ class _Walk:
         self.bounded = all(mu.nonnegative for mu in comps)  # a signed walk is never bounded
         self.count, self.fronts, self.nums = 0, None, (None,) * len(comps)
         if memo is not None:
-            self.fronts = memo.setdefault((keep, tuple(comps), at, floor_d, self.whi, dens), {})
+            self.fronts = memo.setdefault((tuple(comps), at, floor_d, self.whi, dens), {})
             self.nums = [memo.setdefault((at, self.whi, mu, d), {}) for mu, d in zip(comps, dens)]
 
     def node(self, rank, cells, floor):
@@ -268,7 +264,7 @@ class _Walk:
         return front
 
 
-def _walk(frame: Frame, comps, keep, *, memo=None):
+def _walk(frame: Frame, comps, *, memo=None):
     """Root front of (cost vector, trace) options of the take-or-split tree,
     as a tuple, and the walk's ``dens``.
 
@@ -276,10 +272,9 @@ def _walk(frame: Frame, comps, keep, *, memo=None):
     component's entry of ``dens``.  A trace is either the pair (floor, rank)
     of a taken node or a tuple of traces, whose taken nodes together make up
     a sum of options.  A frame with no cells has the single option of the
-    empty cover, at cost 0 over 1 in every component.  Walks
-    given one ``memo`` share each node's numerator under each measure and
-    the fronts of full nodes and leaves, each where its key allows
-    (:class:`_Walk`).
+    empty cover, at cost 0 over 1 in every component.  Walks given one
+    ``memo`` share each node's numerator under each measure and the fronts
+    of full nodes and leaves, each where its key allows (:class:`_Walk`).
     """
     size = frame.n ** (frame.whi - frame.floor0 + 1)
     roots: dict[int, list] = {}
@@ -287,8 +282,8 @@ def _walk(frame: Frame, comps, keep, *, memo=None):
         roots.setdefault(cell % size, []).append(cell)
     if not roots:
         return (((0,) * len(comps), ()),), (1,) * len(comps)
-    walk = _Walk(frame, comps, keep, memo)
-    front = _combine([walk.node(r, c, frame.floor0) for r, c in sorted(roots.items())], keep)
+    walk = _Walk(frame, comps, memo)
+    front = _combine([walk.node(r, c, frame.floor0) for r, c in sorted(roots.items())], walk.keep)
     return tuple(front), walk.dens
 
 
@@ -308,32 +303,30 @@ def _take_attains(comps, take, k, at, n, span, rank):
 
 
 class RootFront:
-    """The root front of one query's take-or-split walk under a keep rule,
+    """The root front of one query's take-or-split walk over ``comps``,
     with the certificate of each option re-checked at most once.
 
     ``options`` is the tuple of (cost vector, trace) options of the root, a
     vector's components integer numerators over the entries of ``dens``;
-    only a certificate's re-price makes rationals.  Certificates of the
-    scalar keep rule carry no cost vector; those of every other keep rule
-    carry it.  Roots given one ``memo`` share what
-    their keys allow, with no rule for the caller to keep: node numerators
-    and fronts (:class:`_Walk`), and per (q, cfg, base_graded) the frame,
-    the witness per certified trace and the prices per witness, a witness
-    validated once and priced once per measure, which every certificate
-    compares with its own vector.
+    only a certificate's re-price makes rationals.  A certificate carries
+    its cost vector exactly when there is more than one component.  Roots
+    given one ``memo`` share what their keys allow, with no rule for the
+    caller to keep: node numerators and fronts (:class:`_Walk`), and per
+    (q, cfg, base_graded) the frame and, by trace, the checked witness and
+    its price per measure, which every certificate compares with its own
+    vector.
     """
 
-    def __init__(self, q, comps, cfg, keep, base_graded=False, *, memo=None):
+    def __init__(self, q, comps, cfg, base_graded=False, *, memo=None):
         self.q, self.comps, self.cfg, self.base_graded = q, comps, cfg, base_graded
-        self.vector = keep is not _cheapest
-        key = (q, cfg, base_graded)  # its frame, witness per trace and prices per witness
+        key = (q, cfg, base_graded)  # its frame and checked witness per trace
         root = None if memo is None else memo.get(key)
         if root is None:
-            root = (build_frame(q, cfg, base_graded), {}, {})
+            root = (build_frame(q, cfg, base_graded), {})
             if memo is not None:
                 memo[key] = root
-        self.frame, self.witnesses, self.checks = root
-        self.options, self.dens = _walk(self.frame, comps, keep, memo=memo)
+        self.frame, self.checked = root
+        self.options, self.dens = _walk(self.frame, comps, memo=memo)
         self._certificates: dict[int, ValueCertificate] = {}
 
     def certificate(self, k: int) -> ValueCertificate:
@@ -389,16 +382,15 @@ def _witness(root: RootFront, trace) -> Cover:
 def _certificate(root: RootFront, option) -> ValueCertificate:
     """Certificate of a root option, whose witness is re-validated and
     re-priced on every cost component through the window-set path; a
-    witness gets its price table only once it is valid."""
+    trace's witness gets its price table only once it is valid."""
     vec, trace = option
-    witness = root.witnesses.get(trace)
-    if witness is None:
-        witness = root.witnesses[trace] = _witness(root, trace)
-    prices = root.checks.get(witness)
-    if prices is None:
+    checked = root.checked.get(trace)
+    if checked is None:
+        witness = _witness(root, trace)
         if not covers.is_valid_cover(root.q, witness):
             raise CertificateError("the witness is not a graded cover of the query")
-        prices = root.checks[witness] = {}
+        checked = root.checked[trace] = (witness, {})
+    witness, prices = checked
     for k, (mu, d) in enumerate(zip(root.comps, root.dens)):
         price = prices.get(mu)
         if price is None:
@@ -408,13 +400,13 @@ def _certificate(root: RootFront, option) -> ValueCertificate:
                 f"the witness prices cost component {k} at {price}, not {Fraction(vec[k], d)}"
             )
     vec = tuple(prices[mu] for mu in root.comps)
-    return ValueCertificate(vec[0], witness, root.cfg, vec if root.vector else None)
+    return ValueCertificate(vec[0], witness, root.cfg, vec if len(vec) > 1 else None)
 
 
 def _phi_optimum(q, phi, cfg, base_graded, *, memo=None):
     if not phi.nonnegative:
         raise RejectedInputError("cover optimization needs a nonnegative measure")
-    return RootFront(q, [phi], cfg, _cheapest, base_graded, memo=memo).certificate(0)
+    return RootFront(q, [phi], cfg, base_graded, memo=memo).certificate(0)
 
 
 def phi_truncated(

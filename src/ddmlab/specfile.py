@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 
 from . import measures, symbolic
@@ -76,7 +77,8 @@ def parse_matrix(value) -> tuple[tuple[Fraction, ...], ...]:
 
 
 def format_rational(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
+    # Decimal prints an int of any length; str() stops at sys.get_int_max_str_digits()
+    return f"{Decimal(x.numerator)}/{Decimal(x.denominator)}"
 
 
 def decimal_string(x: Fraction, digits: int) -> str:
@@ -84,7 +86,7 @@ def decimal_string(x: Fraction, digits: int) -> str:
     sign = "-" if x < 0 else ""
     x = abs(x)
     scaled = x.numerator * 10 ** digits // x.denominator
-    whole, frac = divmod(scaled, 10 ** digits)
+    whole, frac = map(Decimal, divmod(scaled, 10 ** digits))
     return f"{sign}{whole}.{str(frac).rjust(digits, '0')}" if digits else f"{sign}{whole}"
 
 

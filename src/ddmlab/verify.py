@@ -126,8 +126,8 @@ def psi_handle(
     eps: Fraction,
     cfg: TruncationConfig,
 ) -> SetFunctionHandle:
-    """Budgeted optimum at slack eps, budget base the per-query truncated
-    unconstrained optimum, all at one fixed truncation.
+    """Budgeted optimum at a positive slack eps, budget base the per-query
+    truncated unconstrained optimum, all at one fixed truncation.
 
     Each query walks its tree once, for the root front over [psi, phi].  The
     budget base is the front's least phi component: pruning keeps every
@@ -143,11 +143,13 @@ def psi_handle(
     if not phi.nonnegative:
         raise RejectedInputError("cover optimization needs a nonnegative measure")
     eps = Fraction(eps)
+    if eps <= 0:
+        raise RejectedInputError("slack must be positive")
     comps = [psi, phi]
     memo: dict = {}
 
     def evaluator(s):
-        root = engine.RootFront(s, comps, cfg, engine.prune, memo=memo)
+        root = engine.RootFront(s, comps, cfg, memo=memo)
         base = root.least(1).vector[1]
         return root.cheapest([base + eps]).value
 

@@ -20,7 +20,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
-from ddmlab import budgeted, engine, measures, suites, symbolic
+from ddmlab import engine, measures, suites, symbolic
 from ddmlab.budgeted import BudgetedProblem, brute_force_psi, psi_budgeted
 from ddmlab.covers import TruncationConfig, cover_cost, is_valid_cover
 from ddmlab.errors import BitsetCapError, InfeasibleError
@@ -207,13 +207,11 @@ class TestFullSubtreeGuard:
         # the Bernoulli measure takes every full node: one node per root
         mu = measures.BernoulliMeasure((F(1, 3), F(2, 3)))
         nodes = counted_walk(monkeypatch)
-        engine._walk(engine.build_frame(cyl(0, 0), TruncationConfig(12, 1, 0)),
-                     [mu], engine._cheapest)
+        engine._walk(engine.build_frame(cyl(0, 0), TruncationConfig(12, 1, 0)), [mu])
         assert len(nodes) == 2
         nodes.clear()
         with unbounded():
-            engine._walk(engine.build_frame(cyl(0, 0), TruncationConfig(6, 1, 0)),
-                         [mu], engine._cheapest)
+            engine._walk(engine.build_frame(cyl(0, 0), TruncationConfig(6, 1, 0)), [mu])
         assert len(nodes) == 2 * (2 ** 7 - 1)
 
     def test_signed_components_are_never_bounded(self, monkeypatch):
@@ -221,7 +219,7 @@ class TestFullSubtreeGuard:
                                             F(1, 4), UNIFORM_CHAIN)
         nodes = counted_walk(monkeypatch)
         frame = engine.build_frame(cyl(0, 0), TruncationConfig(3, 0, 0))
-        engine._walk(frame, [UNIFORM_CHAIN, signed], budgeted.prune)
+        engine._walk(frame, [UNIFORM_CHAIN, signed])
         assert len(nodes) == 2 * (2 ** 4 - 1)  # every node, both components
 
 
@@ -255,11 +253,11 @@ class TestZeroNodes:
         zero = measures.SignedDiffMeasure(self.POINT, 1, self.POINT)
         frame = engine.build_frame(self.query(), self.CFG)
         nodes = counted_walk(monkeypatch)
-        engine._walk(frame, [self.POINT, zero], budgeted.prune)
+        engine._walk(frame, [self.POINT, zero])
         visited = len(nodes)
         nodes.clear()
         with unbounded():
-            engine._walk(frame, [self.POINT, zero], budgeted.prune)
+            engine._walk(frame, [self.POINT, zero])
         assert visited == len(nodes)
 
 
@@ -351,7 +349,7 @@ def test_bound_keeps_value_and_witness(instance, kind, base_graded):
 
 
 def front_of(q, comps, cfg):
-    root = engine.RootFront(q, comps, cfg, budgeted.prune)
+    root = engine.RootFront(q, comps, cfg)
     return root.frame, [(tuple(map(F, vec, root.dens)), engine._witness(root, trace))
                         for vec, trace in root.options]
 

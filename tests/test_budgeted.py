@@ -4,7 +4,7 @@ from operator import le
 
 import pytest
 
-from ddmlab import budgeted, engine, measures, symbolic
+from ddmlab import engine, measures, symbolic
 from ddmlab.budgeted import (
     BudgetedProblem,
     brute_force_psi,
@@ -77,6 +77,26 @@ def overlapping_budgeted_oracle(problem):
 
 
 class TestBudgetedOptimum:
+    def test_no_constraints_is_the_one_component_root(self):
+        # one cost component keeps the first cheapest option, so the value
+        # and witness are those of the scalar root, and the certificate
+        # carries no cost vector; a signed objective is solved the same way
+        rng = random.Random(17)
+        for kind in ("markov", "bernoulli", "dirac", "cesaro", "convex", "signed"):
+            q = random_window_set(rng, 2, lo_range=(-1, 1), max_span=2, allow_degenerate=True)
+            if kind == "signed":
+                objective = SignedDiffMeasure(random_measure(rng, 2), F(1, 2),
+                                              random_measure(rng, 2))
+            else:
+                objective = random_measure(rng, 2, kind)
+            cfg = TruncationConfig(rng.randint(0, 2), rng.randint(0, 1), rng.choice([0, -1]))
+            cert = psi_budgeted(BudgetedProblem(q, objective, (), cfg))
+            least = engine.RootFront(q, [objective], cfg).least(0)
+            assert cert.vector is None is least.vector
+            assert (cert.value, cert.witness) == (least.value, least.witness)
+            if kind != "signed":
+                assert cert == phi_truncated(q, objective, cfg)
+
     def test_slack_budget_reduces_to_the_unconstrained_optimum(self):
         rng = random.Random(211)
         for _ in range(20):
@@ -216,7 +236,7 @@ class TestEpsGrid:
             # within one shift's front an option is known by its vector
             picked = {(i, cert.vector) for (_, i), cert in grid.cells.items()
                       if cert is not None}
-            base = engine.RootFront(q, [psi, phi], sweep[-1], budgeted.prune).least(1)
+            base = engine.RootFront(q, [psi, phi], sweep[-1]).least(1)
             assert base.vector[1] == grid.phi_surrogate
             assert rechecked == len(picked | {(i_list[-1], base.vector)})
             shared += len(picked) < len(grid.cells)

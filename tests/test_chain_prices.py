@@ -119,7 +119,8 @@ def test_each_price_and_each_witness_check_is_made_once(monkeypatch):
         counts.append((len(nodes), len(validated), len(priced)))
         if chain is psi_chain:
             # one price per (measure, node), one validation per distinct
-            # witness and one price per (witness, measure) pair
+            # trace, here one per distinct witness, and one price per
+            # (witness, measure) pair
             assert nodes and len(nodes) == len(set(nodes))
             assert len({cert.witness for cert in certs}) < len(certs)
             assert len(validated) == len({surrogate} | {cert.witness for cert in certs})
@@ -163,8 +164,8 @@ def test_a_mispriced_level_still_fails_its_certificate(monkeypatch):
     assert certs[1].witness == certs[2].witness
     walk = engine._walk
 
-    def mispriced(frame, comps, keep, **kwargs):
-        options, dens = walk(frame, comps, keep, **kwargs)
+    def mispriced(frame, comps, **kwargs):
+        options, dens = walk(frame, comps, **kwargs)
         if len(comps) < 4:  # the surrogate and levels 0 and 1
             return options, dens
         # one more on a numerator: the least mispricing an integer front carries
@@ -177,6 +178,23 @@ def test_a_mispriced_level_still_fails_its_certificate(monkeypatch):
     with pytest.raises(CertificateError, match="cost component 3"):
         psi_chain(q, PHI, psis, eps, cfg)
     assert certs[2].witness in validated
+
+
+def test_a_trace_every_level_picks_is_validated_once(monkeypatch):
+    # the surrogate and all three levels pick one trace; the chain validates
+    # its witness once, where the level-by-level reference, walking each
+    # level afresh, validates it once per solve
+    q, psis, cfg, eps = cyl(0, 0, 1), three_levels(1), TruncationConfig(1, 1, 0), F(1, 8)
+    surrogate = engine.phi_truncated(q, PHI, cfg)
+    validated = []
+    valid = covers.is_valid_cover
+    monkeypatch.setattr(covers, "is_valid_cover", lambda q, c: validated.append(c) or valid(q, c))
+    certs = psi_chain(q, PHI, psis, eps, cfg)
+    assert {cert.witness for cert in certs} == {surrogate.witness}
+    assert validated == [surrogate.witness]
+    del validated[:]
+    assert level_by_level(q, PHI, psis, eps, cfg) == certs
+    assert validated == [surrogate.witness] * (1 + len(certs))
 
 
 def test_a_chain_builds_one_frame(monkeypatch):

@@ -2,18 +2,19 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
 import ddmlab
-from ddmlab import budgeted, cli, engine
+from ddmlab import cli, engine
 from ddmlab.budgeted import BudgetedProblem, psi_budgeted
 from ddmlab.cli import main
 from ddmlab.covers import Cover, cover_cost, is_valid_cover
 from ddmlab.errors import BudgetExceededError
-from ddmlab.measures import DiracMeasure
+from ddmlab.measures import DiracMeasure, eval0
 from ddmlab.specfile import load_spec, parse_set
 from ddmlab.symbolic import WindowSet
 
@@ -148,6 +149,58 @@ def test_negative_decimal_is_an_input_error(capsys):
     assert payload["kind"] == "input" and "--decimal" in payload["error"]
 
 
+@pytest.mark.parametrize("command", ["eval", "phi", "psi", "chain"])
+def test_a_stray_name_is_an_input_error(spec_path, capsys, command):
+    code, out = run(capsys, command, "bogus", "--spec", spec_path)
+    payload = json.loads(out)
+    assert (code, payload["kind"]) == (2, "input")
+    assert all(word in payload["error"] for word in (command, "'bogus'", "example", "verify"))
+
+
+def digits_of(text):
+    """The integer a digit string stands for, read through Decimal, which
+    has no limit on its length."""
+    return int(Decimal(text))
+
+
+def test_a_decimal_past_the_int_string_limit_prints_exactly(capsys):
+    # str() of an int refuses more than 4,300 digits; 1/3 to 5,000 places
+    # once exited 4 on it
+    code, out = run(capsys, "eval", "--decimal", "5000")
+    assert code == 0
+    assert json.loads(out)["decimal"] == "0." + "3" * 5000
+
+
+def test_a_value_past_the_int_string_limit_prints_exactly(capsys, tmp_path):
+    # the Cesaro average of 8,000 shifts of a non-stationary chain has a
+    # numerator and a denominator of thousands of digits each
+    spec = dict(SPEC, measures={
+        "uniform": {"kind": "markov", "pi": ["1/2", "1/2"], "A": [["1/2", "1/2"], ["1/4", "3/4"]]},
+        "avg": {"kind": "cesaro", "base": "uniform", "n": 8000},
+    }, commands={"eval": {"measure": "avg", "set": "zero"}})
+    path = tmp_path / "cesaro.json"
+    path.write_text(json.dumps(spec))
+    code, out = run(capsys, "eval", "--spec", str(path), "--decimal", "30")
+    assert code == 0
+    payload = json.loads(out)
+    num, den = payload["value"].split("/")
+    assert min(len(num), len(den)) > 4300
+    loaded = load_spec(str(path))
+    value = eval0(loaded.measure("avg"), loaded.window_set("zero"))
+    assert F(digits_of(num), digits_of(den)) == value
+    assert payload["decimal"] == "0." + str(value.numerator * 10 ** 30 // value.denominator)
+
+
+def test_a_spec_integer_past_the_int_string_limit_is_still_an_input_error(capsys, tmp_path):
+    spec = dict(SPEC, commands={"chain": dict(SPEC["commands"]["chain"], eps="1/" + "3" * 5000)})
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(spec))
+    code, out = run(capsys, "chain", "--spec", str(path))
+    payload = json.loads(out)
+    assert (code, payload["kind"]) == (2, "input")
+    assert "eps must be an integer" in payload["error"]
+
+
 def test_bitset_cap_is_a_resource_error(capsys, tmp_path):
     # width 25 lists the query cells on [0, 25], past the 2**22-cell cap
     phi = {"measure": "chain", "set": "zero", "depths": [1], "widths": [25], "shifts": [0]}
@@ -247,7 +300,7 @@ def test_front_cap_is_a_resource_error(tmp_path, capsys, monkeypatch):
         loaded.window_set("left"), chain, ((point, F(1, 2)),), loaded.config("c")
     )
     # the chain and the point mass trade off: two vectors at the root
-    root = engine.RootFront(problem.q, [chain, point], problem.cfg, budgeted.prune)
+    root = engine.RootFront(problem.q, [chain, point], problem.cfg)
     assert [tuple(map(F, vec, root.dens)) for vec, _ in root.options] == [
         (F(1, 3), F(1)), (F(5, 6), F(0))
     ]

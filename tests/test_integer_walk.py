@@ -80,13 +80,13 @@ class UnderReported(measures.BernoulliMeasure):
         return 1
 
 
-@pytest.mark.parametrize("keep", [engine._cheapest, engine.prune])
-def test_an_under_reported_denominator_raises_and_returns_nothing(keep):
+@pytest.mark.parametrize("width", [1, 2], ids=["_cheapest", "prune"])
+def test_an_under_reported_denominator_raises_and_returns_nothing(width):
+    # one component keeps by _cheapest, two by prune, as the ids say
     mu = UnderReported((F(1, 3), F(2, 3)))
     q = WindowSet.cylinder(2, 0, [0])
     with pytest.raises(CertificateError, match="denominator"):
-        engine.RootFront(q, [mu] * (1 if keep is engine._cheapest else 2),
-                         TruncationConfig(1, 0, 0), keep)
+        engine.RootFront(q, [mu] * width, TruncationConfig(1, 0, 0))
     with pytest.raises(CertificateError, match="denominator"):
         engine.phi_truncated(q, mu, TruncationConfig(0, 0, 0))
 
@@ -137,7 +137,7 @@ def test_walks_at_different_denominators_keep_their_own_fronts(monkeypatch):
     memo: dict = {}
 
     def rationals(**kwargs):
-        root = engine.RootFront(q, [mu], cfg, engine._cheapest, **kwargs)
+        root = engine.RootFront(q, [mu], cfg, **kwargs)
         return [(tuple(map(F, vec, root.dens)), trace) for vec, trace in root.options]
 
     first = rationals(memo=memo)
@@ -145,9 +145,9 @@ def test_walks_at_different_denominators_keep_their_own_fronts(monkeypatch):
     monkeypatch.setattr(mu, "denominator", lambda at, length: 2 * reported(at, length))
     second = rationals(memo=memo)
     assert first == second == rationals()
-    # fronts are kept by (keep, comps, at, floor_d, whi, dens), numerators
-    # by (at, whi, measure, denominator)
-    fronts = {key[-1]: memo[key] for key in memo if key[0] is engine._cheapest}
+    # fronts are kept by (comps, at, floor_d, whi, dens), numerators by
+    # (at, whi, measure, denominator)
+    fronts = {key[-1]: memo[key] for key in memo if key[0] == (mu,)}
     assert sorted(fronts) == [(27,), (54,)]
     (one,), (two,) = fronts[(27,)].values(), fronts[(54,)].values()
     assert [2 * vec[0] for vec, _ in one] == [vec[0] for vec, _ in two]
@@ -168,7 +168,7 @@ def test_walks_with_different_right_edges_keep_their_own_fronts():
         shared = engine.phi_truncated(q, point, cfg, memo=memo)
         assert shared == engine.phi_truncated(q, point, cfg)
     # one front table, one numerator table and one root per right edge
-    assert sorted(key[4] for key in memo if key[0] is engine._cheapest) == [0, 1]
+    assert sorted(key[3] for key in memo if key[0] == (point,)) == [0, 1]
     assert sorted(key[1] for key in memo if len(key) == 4) == [0, 1]
     assert sorted(key[1].width for key in memo if len(key) == 3) == [0, 1]
 
@@ -181,7 +181,7 @@ def test_root_vectors_are_rationals(seed, depth, shift):
     rng = random.Random(seed)
     q = suites.random_window_set(rng, 2, lo_range=(-1, 1), max_span=2, allow_degenerate=True)
     comps = [draw_measure(rng, 2, rng.choice(KINDS)), draw_measure(rng, 2, "convex")]
-    root = engine.RootFront(q, comps, TruncationConfig(depth, 1, shift), engine.prune)
+    root = engine.RootFront(q, comps, TruncationConfig(depth, 1, shift))
     for k, (vec, _) in enumerate(root.options):
         cert = root.certificate(k)
         assert all(type(v) is F for v in (cert.value, *cert.vector))
@@ -199,7 +199,7 @@ def test_cheapest_filters_numerators_as_the_rationals_they_stand_for(seed, size,
     rng = random.Random(seed)
     q = suites.random_window_set(rng, 2, lo_range=(-1, 1), max_span=2, allow_degenerate=True)
     comps = [draw_measure(rng, 2, rng.choice(KINDS)) for _ in range(size)]
-    root = engine.RootFront(q, comps, TruncationConfig(depth, 1, 0), engine.prune)
+    root = engine.RootFront(q, comps, TruncationConfig(depth, 1, 0))
     rationals = [tuple(map(F, vec, root.dens)) for vec, _ in root.options]
     bounds = []
     for j, place in enumerate(places[:size - 1], 1):

@@ -106,7 +106,7 @@ def taken(trace):
     witness on a depth-2 frame over [-2, 2]: entry m holds the ranks of the
     nodes taken at floor m on [m, 2]."""
     root = engine.RootFront(WindowSet.cylinder(2, 0, (0, 1, 0)), [measures.BernoulliMeasure(
-        (F(1, 2), F(1, 2)))], TruncationConfig(2), engine._cheapest)
+        (F(1, 2), F(1, 2)))], TruncationConfig(2))
     assert (root.frame.floor0, root.frame.whi) == (0, 2)
     witness = engine._witness(root, trace)
     return sorted((m, r) for m, a in witness.entries for r in a.ranks_on(Window(m, 2)))

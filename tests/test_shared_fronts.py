@@ -4,13 +4,13 @@ Below a full node (floor at or left of the query's canonical left edge)
 every left extension of the word lies in Q, and a leaf has nothing below
 it, so the fronts of both depend on the query only through the coordinate
 the nodes are read at, the deepest floor and the right edge, besides the
-keep rule and the measures.  Walks that share a memo reuse those fronts:
-the queries of one ``verify.phi_handle`` or ``verify.psi_handle`` and the
-shifts of one ``budgeted.psi_eps_grid``.  Every entry of a memo is keyed by
-all it depends on, so any solves may share one, whatever their measures,
-keep rules, right edges and gradings.  A partial node's front depends on
-the cells of Q below it and must never be reused; the pair test below is
-the trap for it.
+measures, whose number picks the keep rule.  Walks that share a memo reuse
+those fronts: the queries of one ``verify.phi_handle`` or
+``verify.psi_handle`` and the shifts of one ``budgeted.psi_eps_grid``.
+Every entry of a memo is keyed by all it depends on, so any solves may
+share one, whatever their measures, widths, right edges and gradings.  A
+partial node's front depends on the cells of Q below it and must never be
+reused; the pair test below is the trap for it.
 """
 
 import random
@@ -76,9 +76,10 @@ def pinned_queries(draw):
 
 
 def front_tables(memo):
-    """The memo's node front tables, keyed by (keep, comps, at, floor_d,
-    whi, dens)."""
-    return [table for key, table in memo.items() if key[0] in (engine.prune, engine._cheapest)]
+    """The memo's node front tables, keyed by (comps, at, floor_d, whi,
+    dens); numerators are keyed by (at, whi, measure, denominator) and
+    roots by (q, cfg, base_graded)."""
+    return [table for key, table in memo.items() if type(key[0]) is tuple]
 
 
 @SETTINGS
@@ -87,10 +88,9 @@ def test_queries_through_one_memo_equal_fresh_walks(instance, base_graded):
     cfg, queries, comps = instance
     memo: dict = {}
     for q in queries:
-        for keep in (engine.prune, engine._cheapest):
-            parts = comps if keep is engine.prune else comps[1:]
-            shared = engine.RootFront(q, parts, cfg, keep, base_graded, memo=memo)
-            same_root(shared, engine.RootFront(q, parts, cfg, keep, base_graded))
+        for parts in (comps, comps[1:]):  # a Pareto root, then a scalar one
+            shared = engine.RootFront(q, parts, cfg, base_graded, memo=memo)
+            same_root(shared, engine.RootFront(q, parts, cfg, base_graded))
     assert all(type(front) is tuple for fronts in front_tables(memo) for front in fronts.values())
 
 
@@ -135,8 +135,8 @@ def test_scalar_and_pareto_solves_through_one_memo_equal_fresh_solves(solves):
             if not base_graded:
                 same_certificate(engine.phi_truncated(q, comps[0], cfg, memo=memo), fresh)
         else:
-            shared = engine.RootFront(q, comps, cfg, engine.prune, base_graded, memo=memo)
-            same_root(shared, engine.RootFront(q, comps, cfg, engine.prune, base_graded))
+            shared = engine.RootFront(q, comps, cfg, base_graded, memo=memo)
+            same_root(shared, engine.RootFront(q, comps, cfg, base_graded))
 
 
 @st.composite
@@ -230,8 +230,8 @@ def test_grid_shifts_through_one_memo_equal_fresh_walks(instance):
     sweep = engine.shift_sweep(q, i_list, depth, width)
     memo: dict = {}
     for cfg in sweep:
-        shared = engine.RootFront(q, [psi, phi], cfg, engine.prune, memo=memo)
-        same_root(shared, engine.RootFront(q, [psi, phi], cfg, engine.prune))
+        shared = engine.RootFront(q, [psi, phi], cfg, memo=memo)
+        same_root(shared, engine.RootFront(q, [psi, phi], cfg))
     grid = budgeted.psi_eps_grid(q, psi, phi, [F(1), F(1, 4)], i_list,
                                  TruncationConfig(depth, width, 0))
     assert grid.phi_surrogate == engine.phi_truncated(q, phi, sweep[-1]).value
@@ -251,8 +251,8 @@ class TestPartialNodesAreNotShared:
     def test_root_fronts_equal_fresh_walks(self, order):
         memo: dict = {}
         for q in order:
-            shared = engine.RootFront(q, self.COMPS, self.CFG, engine.prune, memo=memo)
-            same_root(shared, engine.RootFront(q, self.COMPS, self.CFG, engine.prune))
+            shared = engine.RootFront(q, self.COMPS, self.CFG, memo=memo)
+            same_root(shared, engine.RootFront(q, self.COMPS, self.CFG))
 
     @pytest.mark.parametrize("order", [(A, B), (B, A)], ids=["full first", "partial first"])
     def test_psi_handle_equals_fresh_handles(self, order):
@@ -263,11 +263,11 @@ class TestPartialNodesAreNotShared:
 
     def test_the_node_is_read_back_only_where_it_is_full(self):
         memo: dict = {}
-        engine.RootFront(self.A, self.COMPS, self.CFG, engine.prune, memo=memo)
+        engine.RootFront(self.A, self.COMPS, self.CFG, memo=memo)
         [fronts] = front_tables(memo)
         assert (0, 0) in fronts  # (floor, rank)
         before = dict(fronts)
-        engine.RootFront(self.B, self.COMPS, self.CFG, engine.prune, memo=memo)
+        engine.RootFront(self.B, self.COMPS, self.CFG, memo=memo)
         assert front_tables(memo) == [fronts]
         # B's partial nodes are walked and not stored; its leaves are shared
         assert all(fronts[key] is front for key, front in before.items())

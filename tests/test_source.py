@@ -109,6 +109,32 @@ def test_walk_and_certificate_stay_inside_the_engine():
     assert found == []
 
 
+def test_no_caller_picks_the_keep_rule():
+    """The walk keeps the first cheapest option of one cost component and
+    the Pareto antichain of more, so ``RootFront``, ``_walk`` and ``_Walk``
+    take no keep rule and no module hands them ``prune`` or ``_cheapest``."""
+    from ddmlab import engine
+
+    for fn in (engine.RootFront, engine._walk, engine._Walk):
+        assert "keep" not in inspect.signature(fn).parameters
+    root = Path(ddmlab.__file__).parent
+    rules = {"prune", "_cheapest"}
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if callee not in ("RootFront", "_walk", "_Walk"):
+                continue
+            for arg in node.args + [k.value for k in node.keywords]:
+                name = getattr(arg, "id", None) or getattr(arg, "attr", None)
+                if name in rules:
+                    found.append(f"{path.relative_to(root)}:{node.lineno} {name}")
+    assert found == []
+
+
 def test_root_fronts_stay_integer_until_a_certificate():
     """The walk adds and compares integer numerators, and a root front keeps
     them up to the certificate, whose re-price through ``covers`` makes the

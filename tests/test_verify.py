@@ -229,7 +229,7 @@ class TestEmptyQuery:
 
     def test_root_front_has_one_zero_option(self):
         empty = WindowSet.empty(2)
-        root = engine.RootFront(empty, [chain(), ALT], TruncationConfig(1), engine.prune)
+        root = engine.RootFront(empty, [chain(), ALT], TruncationConfig(1))
         assert root.frame.cells == ()
         assert root.options == (((0, 0), ()),)
 
@@ -267,7 +267,9 @@ class TestEmptyQuery:
         for bound in (F(0), F(-1)):
             with pytest.raises(InfeasibleError):
                 psi_budgeted(BudgetedProblem(empty, ALT, ((chain(), bound),), cfg))
-            with pytest.raises(InfeasibleError):
+            # a handle's slack is the empty set's budget; one <= 0 is
+            # refused as an input before the handle is built
+            with pytest.raises(RejectedInputError, match="slack must be positive"):
                 psi_handle("psi", ALT, chain(), bound, cfg)
 
 
@@ -305,9 +307,15 @@ class TestPsiHandle:
         with pytest.raises(RejectedInputError, match="nonnegative"):
             psi_handle("signed", chain(), signed, F(1, 2), caratheodory_config(depth=1))
 
-    def test_nonpositive_slack_fails_on_the_empty_set(self):
-        with pytest.raises(InfeasibleError):
-            psi_handle("tight", chain(), ALT, F(0), caratheodory_config(depth=1))
+    def test_nonpositive_slack_is_rejected_up_front(self):
+        # the empty set's budget 0 + eps is not above the empty cover's cost
+        # 0, so such a handle could answer no query; like a psi grid or chain
+        # it refuses the slack as an input error before it is built
+        cfg = caratheodory_config(depth=1)
+        for psi, phi in ((chain(), ALT), (ALT, chain())):
+            for eps in (F(0), F(-1)):
+                with pytest.raises(RejectedInputError, match="slack must be positive"):
+                    psi_handle("tight", psi, phi, eps, cfg)
 
     def test_one_tree_walk_per_evaluation(self, monkeypatch):
         handle = psi_handle("psi", BernoulliMeasure((F(1, 3), F(2, 3))), chain(), F(1, 2),
