@@ -132,16 +132,19 @@ def psi_eps_grid(
     memo: dict = {}
     roots = [engine.RootFront(q, [psi, phi], cell_cfg, memo=memo) for cell_cfg in sweep]
     surrogate = roots[-1].least(1).vector[1]
-    cells = {}
+    rows = []  # per slack, the cells in the order of the shifts
     for eps in eps_list:
-        for i, root in zip(i_list, roots):
+        bounds, row = [surrogate + eps], []
+        for root in roots:
             try:
-                cells[(eps, i)] = root.cheapest([surrogate + eps])
+                row.append(root.cheapest(bounds))
             except InfeasibleError:
-                cells[(eps, i)] = None
-    values = {key: None if cert is None else cert.value for key, cert in cells.items()}
-    eps_ok = all(engine.nondecreasing([values[(eps, i)] for eps in eps_list]) for i in i_list)
-    i_ok = all(engine.nondecreasing([values[(eps, i)] for i in i_list]) for eps in eps_list)
+                row.append(None)
+        rows.append(row)
+    values = [[None if cert is None else cert.value for cert in row] for row in rows]
+    eps_ok = all(map(engine.nondecreasing, zip(*values)))
+    i_ok = all(map(engine.nondecreasing, values))
+    cells = {(eps, i): cert for eps, row in zip(eps_list, rows) for i, cert in zip(i_list, row)}
     return EpsGridResult(eps_list, i_list, surrogate, cells, eps_ok, i_ok)
 
 

@@ -50,6 +50,7 @@ over grade labelings of the finest classes is the oracle for both problems.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -470,9 +471,11 @@ def _finest_classes(q: symbolic.WindowSet, frame: Frame):
 def _labeling_costs(frame: Frame, comps):
     """Enumerator of the cost vectors of every grade labeling of a list of
     finest classes; each (level, word) cylinder is priced once across its
-    calls.  It shares nothing with the walk, so it can check it."""
+    calls, and a labeling's prices add as integers over one lcm per
+    component.  It shares nothing with the walk, so it can check it."""
     depth = frame.depth
     floor_d = frame.floor(-depth)
+    levels = range(-depth, 1)  # the labeling's grades, indexed from -depth
     cache: dict = {}
 
     def price(m, word):
@@ -492,13 +495,18 @@ def _labeling_costs(frame: Frame, comps):
             raise TooLargeError(
                 f"too many grade labelings to enumerate (engine.LABELING_CAP = {LABELING_CAP})"
             )
-        for labeling in product(range(-depth, 1), repeat=len(leaves)):
-            total = (ZERO,) * len(comps)
-            for m in set(labeling):
-                drop = frame.floor(m) - floor_d
-                for word in {leaves[k][drop:] for k, g in enumerate(labeling) if g == m}:
-                    total = tuple(map(add, total, price(m, word)))
-            yield total
+        # the (level, word) each leaf takes at each level, priced once, and
+        # each price as numerators over one lcm per component
+        keys = [[(m, leaf[frame.floor(m) - floor_d:]) for m in levels] for leaf in leaves]
+        prices = {key: price(*key) for row in keys for key in row}
+        dens = [math.lcm(*(p[c].denominator for p in prices.values())) for c in range(len(comps))]
+        nums = {key: tuple(v.numerator * (d // v.denominator) for v, d in zip(p, dens))
+                for key, p in prices.items()}
+        for labeling in product(range(depth + 1), repeat=len(leaves)):
+            total = (0,) * len(comps)
+            for key in {row[g] for row, g in zip(keys, labeling)}:  # a cylinder is paid once
+                total = tuple(map(add, total, nums[key]))
+            yield tuple(map(Fraction, total, dens))
 
     return costs
 

@@ -11,10 +11,12 @@ The graded family attached to a base measure phi is phi_m = phi . S^m for
 m <= 0, evaluated through :func:`eval_shifted`.  Shifted pricing never
 builds the shifted set: it reads the set's canonical words once at their
 coordinate minus m, so a set costs O(words x word length).  One word is
-priced by :meth:`CylinderMeasure.cell_value`, a tree by its cylinders' cell
-values, and a multi-word bitset by one :meth:`CylinderMeasure.set_value`
-call: a chain adds path products over one denominator, a point mass tests
-one bit, a mix weighs its parts' set values, and other kinds sum cells.
+priced by one :meth:`CylinderMeasure.cell_value` call, a tree by its
+cylinders' cell values, and a multi-word bitset by one
+:meth:`CylinderMeasure.set_value` call: a chain adds path products over one
+denominator, a point mass tests one bit, a mix weighs its parts' set values,
+and other kinds sum cells.  A mix adds its parts' word prices as exact
+(numerator, denominator) pairs over one lcm and makes one rational.
 
 A measure is in Markov form at a coordinate when it prices every word read
 there as rho[w0] * prod a[wk][wk+1], with one fixed vector and matrix.  The
@@ -100,6 +102,12 @@ class CylinderMeasure:
 
     def cell_value(self, lo: int, word: tuple[int, ...]) -> Fraction:
         raise NotImplementedError
+
+    def _pair(self, lo: int, word) -> tuple[int, int]:
+        """``cell_value(lo, word)`` as an integer (numerator, denominator)
+        pair, which a mix adds without making a rational per part."""
+        value = self.cell_value(lo, word)
+        return value.numerator, value.denominator
 
     def set_value(self, at: int, n: int, span: int, bits: int) -> Fraction:
         """Value of the set of the words of ``bits``, ranked over ``n``
@@ -212,6 +220,10 @@ class MarkovMeasure(CylinderMeasure):
         den, starts = self._starts.get(lo) or self._start(lo)
         return Fraction(self._path(starts, word), den * self._step ** (len(word) - 1))
 
+    def _pair(self, lo: int, word) -> tuple[int, int]:
+        den, starts = self._starts.get(lo) or self._start(lo)
+        return self._path(starts, word), den * self._step ** (len(word) - 1)
+
     def set_value(self, at: int, n: int, span: int, bits: int) -> Fraction:
         den, starts = self._start(at)
         total = sum(self._path(starts, word) for word in _words(n, span, bits))
@@ -266,6 +278,10 @@ class DiracMeasure(CylinderMeasure):
         point = self._points.get((lo, len(word))) or self._point(lo, len(word))
         return ONE if point[0] == tuple(word) else ZERO
 
+    def _pair(self, lo: int, word) -> tuple[int, int]:
+        point = self._points.get((lo, len(word))) or self._point(lo, len(word))
+        return int(point[0] == tuple(word)), 1
+
     def set_value(self, at: int, n: int, span: int, bits: int) -> Fraction:
         """1 when the bit of the point's word is set, else 0."""
         return ONE if bits >> self._point(at, span)[1] & 1 else ZERO
@@ -303,6 +319,9 @@ class _Mix(CylinderMeasure):
             w >= 0 and part.nonnegative for w, part in zip(weights, parts))
         self._terms = tuple(term for term in zip(weights, parts, offsets) if term[0])
         self._at: dict[int, DecisionTable | None] = {}
+        # coordinate -> what ``takes`` reads there: the mix's table, else its parts
+        # as (part, its coordinate, its table) when one of them can take, else ()
+        self._rules: dict[int, DecisionTable | tuple] = {}
         self._tables: dict[tuple[Fraction, ...], DecisionTable] = {}  # by mixed marginal
 
     def table(self, at: int) -> DecisionTable | None:
@@ -320,44 +339,50 @@ class _Mix(CylinderMeasure):
         return self._at[at]
 
     def takes(self, at: int, word: tuple[int, ...], k: int) -> bool:
-        table = self.table(at)
-        if table is not None:
-            return table.takes(word[0], k)
+        rule = self._rules.get(at)
+        if rule is None:
+            rule = self.table(at)
+            if rule is None:
+                parts = tuple((part, at + offset, part.table(at + offset))
+                              for _, part, offset in self._terms)
+                can = self.nonnegative and any(t or isinstance(part, _Mix) for part, _, t in parts)
+                rule = parts if can else ()
+            self._rules[at] = rule
+        if isinstance(rule, DecisionTable):
+            return rule.takes(word[0], k)
         # the minimum of a sum is at least the sum of the parts' minimums, and a
         # part priced 0 adds 0 at its best; a part with neither a table nor a
         # rule of its own answers no, and some part prices the node above 0
-        parts = [(part, at + offset, part.table(at + offset)) for _, part, offset in self._terms]
-        if not self.nonnegative or not any(t or isinstance(part, _Mix) for part, _, t in parts):
-            return False
-        return all(part.takes(lo, word, k) for part, lo, t in parts
-                   if t or part.cell_value(lo, word))
+        return bool(rule) and all(
+            t.takes(word[0], k) if t else isinstance(part, _Mix) and part.takes(lo, word, k)
+            for part, lo, t in rule if t or part.cell_value(lo, word))
 
     def _denominator(self, at: int, length: int) -> int:
         return math.lcm(*(w.denominator * part.denominator(at + offset, length)
                           for w, part, offset in self._terms))
 
     def cell_value(self, lo: int, word: tuple[int, ...]) -> Fraction:
-        return self._weigh(lo, word, None)
+        return Fraction(*self._pair(lo, word))
+
+    def _pair(self, lo: int, word) -> tuple[int, int]:
+        return self._weigh([part._pair(lo + offset, word) for _, part, offset in self._terms])
 
     def set_value(self, at: int, n: int, span: int, bits: int) -> Fraction:
-        return self._weigh(at, None, (n, span, bits))
+        values = [part.set_value(at + offset, n, span, bits) for _, part, offset in self._terms]
+        return Fraction(*self._weigh([(v.numerator, v.denominator) for v in values]))
 
-    def _weigh(self, at: int, word, cells) -> Fraction:
-        """The parts' cell values of ``word``, or set values of ``cells`` = (n,
-        span, bits), each read at ``at`` plus its offset, summed by weight."""
+    def _weigh(self, pairs) -> tuple[int, int]:
+        """The parts' (numerator, denominator) ``pairs``, one per term, summed
+        by weight as one such pair."""
         # a part that misses the set adds nothing; the rest add over one lcm
         num, den = 0, 1
-        for w, part, offset in self._terms:
-            if cells is None:
-                value = part.cell_value(at + offset, word)
-            else:
-                value = part.set_value(at + offset, *cells)
-            if value:
-                q = w.denominator * value.denominator
+        for (w, _, _), (pnum, pden) in zip(self._terms, pairs):
+            if pnum:
+                q = w.denominator * pden
                 d = math.lcm(den, q)
-                num = num * (d // den) + w.numerator * value.numerator * (d // q)
+                num = num * (d // den) + w.numerator * pnum * (d // q)
                 den = d
-        return Fraction(num, den)
+        return num, den
 
 
 class CesaroMeasure(_Mix):
@@ -434,16 +459,13 @@ def _words(n: int, span: int, bits: int) -> list[tuple[int, ...]]:
 
 
 def _cell_sum(mu: CylinderMeasure, n: int, key, m: int) -> Fraction:
-    """Value of a canonical key's words, read m coordinates to the right: a
-    single word by its cell value, several by one set value, and a tree by
-    the cell values of its cylinders."""
+    """Value of a canonical key of several words, read m coordinates to the
+    right: a bitset's by one set value, a tree's by the cell values of its
+    cylinders."""
     lo, hi, bits = key
     if not isinstance(bits, int):  # a wide set: price its cylinders
         return exact_sum(mu.cell_value(lo - m, word) for word in symbolic.tree_cells(n, key))
-    at, span = lo - m, hi - lo + 1
-    if bits & (bits - 1):
-        return mu.set_value(at, n, span, bits)
-    return mu.cell_value(at, symbolic.rank_word(n, span, bits.bit_length() - 1))
+    return mu.set_value(lo - m, n, hi - lo + 1, bits)
 
 
 def eval0(mu: CylinderMeasure, s: symbolic.WindowSet) -> Fraction:
@@ -467,16 +489,22 @@ def eval_shifted(mu: CylinderMeasure, m: int, s: symbolic.WindowSet) -> Fraction
     if m > 0:
         raise RejectedInputError("grades are nonpositive")
     key = s.canonical_key()
-    if len(key) > 1:  # neither the empty set nor the full space
-        if key[0] < m:
-            raise GradingViolationError(f"set depends on coordinate {key[0]} below grade {m}")
-        # the words are read at their left edge moved m coordinates right, and
-        # that coordinate must stay inside the bound
-        symbolic._check_coordinate(key[0] - m)
+    if len(key) == 1:  # the empty set, or the full space at its total mass
+        if mu.symbols != s.n:
+            raise RejectedInputError("set and measure alphabets disagree")
+        return exact_sum([mu.cell_value(0, (b,)) for b in range(s.n)]) if key == ("full",) else ZERO
+    lo, hi, bits = key
+    if lo < m:
+        raise GradingViolationError(f"set depends on coordinate {lo} below grade {m}")
+    # the words are read at their left edge moved m coordinates right, and
+    # that coordinate, at least 0 here, must stay inside the bound
+    at = lo - m
+    if at > symbolic.MAX_ABS_COORDINATE:
+        symbolic._check_coordinate(at)
     if mu.symbols != s.n:
         raise RejectedInputError("set and measure alphabets disagree")
-    if len(key) == 1:  # the full space costs the total mass
-        return exact_sum([mu.cell_value(0, (b,)) for b in range(s.n)]) if key == ("full",) else ZERO
+    if bits.__class__ is int and not bits & (bits - 1):  # one word, by its cell value
+        return mu.cell_value(at, symbolic.rank_word(s.n, hi - lo + 1, bits.bit_length() - 1))
     return _cell_sum(mu, s.n, key, m)
 
 

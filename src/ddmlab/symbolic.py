@@ -36,7 +36,8 @@ tuple per (n, span, rank) from ``rank_word``.  Each table keeps at most
 SHARED_CAP values, each on a window of at most SHARED_CAP words, and a
 cylinder only while its window fits a bitset (TREE_CELLS, read at call
 time), so both together hold at most about 3.3 MB, as measured with both
-full of values on 4,096-word windows.  A full table still answers, building
+full of values on 4,096-word windows.  A kept value answers before the
+checks it passed when it was kept.  A full table still answers, building
 values it does not keep; none evicts, so the same calls always leave the
 same tables.  The engine keeps no cache of its own.
 """
@@ -126,12 +127,13 @@ _CYLINDERS: dict[tuple[int, int, int, int], "WindowSet"] = {}
 
 
 def rank_word(n: int, span: int, rank: int) -> tuple[int, ...]:
-    """The word of ``rank`` on ``span`` coordinates over ``n`` symbols."""
-    size = n ** span
-    if not 0 <= rank < size:
-        raise RejectedInputError(f"rank {rank} outside the words of a {span}-coordinate window")
+    """The word of ``rank`` on ``span`` coordinates over ``n`` symbols: a
+    kept word first, since only a checked rank is kept."""
     word = _WORDS.get((n, span, rank))
     if word is None:
+        size = n ** span
+        if not 0 <= rank < size:
+            raise RejectedInputError(f"rank {rank} outside the words of a {span}-coordinate window")
         out, r = [0] * span, rank
         for j in range(span - 1, -1, -1):
             r, out[j] = divmod(r, n)
@@ -203,24 +205,27 @@ class WindowSet:
         """The set of the word of ``rank`` on [start, start + span - 1], born
         with its canonical key: one word has no redundant end coordinate,
         and over one symbol it is the full space.  A bitset cylinder is
-        shared process-wide while its table has room."""
+        shared process-wide while its table has room, and a kept one, which
+        was checked when it was built, answers before its window and rank."""
         if span < 1:
             raise RejectedInputError("cylinder needs at least one symbol")
-        window = _window(start, start + span - 1)
         size = n ** span
+        if size <= TREE_CELLS:
+            s = _CYLINDERS.get((n, start, span, rank))
+            if s is not None:
+                return s
+        window = _window(start, start + span - 1)
         if not 0 <= rank < size:
             raise RejectedInputError(f"rank {rank} outside the words of a {span}-coordinate window")
         if size > TREE_CELLS:
             s = _TreeSet(n, window, _ranks_tree(n, [rank], span))
             object.__setattr__(s, "_key", (start, window.hi, s.bits))
             return s
-        s = _CYLINDERS.get((n, start, span, rank))
-        if s is None:
-            bits = 1 << rank
-            s = cls(n, window, bits)
-            object.__setattr__(s, "_key", (start, window.hi, bits) if n > 1 else ("full",))
-            if len(_CYLINDERS) < SHARED_CAP and size <= SHARED_CAP:
-                _CYLINDERS[(n, start, span, rank)] = s
+        bits = 1 << rank
+        s = cls(n, window, bits)
+        object.__setattr__(s, "_key", (start, window.hi, bits) if n > 1 else ("full",))
+        if len(_CYLINDERS) < SHARED_CAP and size <= SHARED_CAP:
+            _CYLINDERS[(n, start, span, rank)] = s
         return s
 
     @classmethod

@@ -1,10 +1,14 @@
 """Set-level pricing and the n-ary traces of the walk.
 
-``measures._cell_sum`` prices a single word by ``cell_value`` and the words
-of a multi-word bitset by one ``set_value`` call.  The base class sums the
-cell values; a chain adds its path products over one denominator, a point
-mass tests one bit and a mix weighs its parts' set values.  Every kind must
-price a set exactly as the sum of its cells.  Three or more fronts of one
+``measures.eval_shifted`` prices a single word by one ``cell_value`` call,
+and ``measures._cell_sum`` the words of a multi-word bitset by one
+``set_value`` call.  The base class sums the cell values; a chain adds its
+path products over one denominator, a point mass tests one bit and a mix
+weighs its parts' set values.  Every kind must price a set exactly as the
+sum of its cells, and a mix a word as the weighted sum of its parts' cell
+values, which it adds as integer pairs.  A mix answers ``takes`` by the
+rule it had when it resolved its parts on every call, but resolves them
+once per coordinate.  Three or more fronts of one
 option each are summed into one option whose trace is the tuple of their
 traces, and ``engine._witness`` must read the same nodes from it as from
 nested pairs.
@@ -135,3 +139,82 @@ def test_one_option_fronts_sum_to_one_option_with_a_flat_trace():
     assert [vec for vec, _ in pairs] == [(9, 13), (10, 12)]
     assert [taken(t) for _, t in pairs] == [
         [(-1, 0), (-1, 2), (0, 0), (0, 1), (0, 3)], [(-1, 0), (-1, 2), (0, 0), (0, 1), (0, 4)]]
+
+
+def terms(mu):
+    """A mix's (weight, part, offset) terms of nonzero weight, read off the
+    attributes its kind names."""
+    if isinstance(mu, measures.CesaroMeasure):
+        found = [(F(1, mu.n + 1), mu.base, j) for j in range(mu.n + 1)]
+    elif isinstance(mu, measures.ConvexMeasure):
+        found = [(w, part, 0) for w, part in zip(mu.weights, mu.parts)]
+    else:
+        found = [(F(1), mu.psi, 0), (-mu.c, mu.phi, 0)]
+    return [term for term in found if term[0]]
+
+
+def mixes(mu):
+    """``mu`` and every mix nested in it, outermost first."""
+    if not isinstance(mu, measures._Mix):
+        return []
+    return [mu] + [inner for _, part, _ in terms(mu) for inner in mixes(part)]
+
+
+def draw_mix(rng, kind):
+    """A mix of ``kind`` over two symbols whose parts are mixes themselves
+    two levels down, beside a :class:`Product` part that defines only
+    ``cell_value``."""
+    parts = [draw_measure(rng, 2, rng.choice(KINDS), nest=2), Product()]
+    rng.shuffle(parts)
+    if kind == "cesaro":
+        return measures.cesaro(measures.ConvexMeasure((F(1, 2), F(1, 2)), parts), rng.randint(1, 3))
+    if kind == "convex":
+        return measures.ConvexMeasure(suites.random_distribution(rng, 2), parts)
+    return measures.SignedDiffMeasure(parts[0], F(rng.randint(0, 4), rng.randint(1, 5)), parts[1])
+
+
+@SETTINGS
+@given(st.integers(0, 2 ** 16), st.sampled_from(("cesaro", "convex", "signed")),
+       st.integers(0, 60), st.lists(st.integers(0, 1), min_size=1, max_size=4), st.booleans())
+def test_a_mix_prices_a_word_as_the_weighted_sum_of_its_parts(seed, kind, lo, word, as_list):
+    word = word if as_list else tuple(word)
+    for mu in mixes(draw_mix(random.Random(seed), kind)):
+        expected = sum((w * part.cell_value(lo + offset, word) for w, part, offset in terms(mu)), F(0))
+        value = mu.cell_value(lo, word)
+        assert type(value) is F
+        assert value == expected, (mu, lo, word)
+
+
+def takes_uncached(mu, at, word, k):
+    """The rule of ``_Mix.takes`` with every part resolved again on each call."""
+    table = mu.table(at)
+    if table is not None:
+        return table.takes(word[0], k)
+    parts = [(part, at + offset, part.table(at + offset)) for _, part, offset in terms(mu)]
+    if not mu.nonnegative or not any(t or isinstance(part, measures._Mix) for part, _, t in parts):
+        return False
+    return all(takes_uncached(part, lo, word, k) if isinstance(part, measures._Mix)
+               else part.takes(lo, word, k)
+               for part, lo, t in parts if t or part.cell_value(lo, word))
+
+
+@SETTINGS
+@given(st.integers(0, 2 ** 16), st.sampled_from(("cesaro", "convex")), st.integers(0, 30),
+       st.lists(st.lists(st.integers(0, 1), min_size=1, max_size=3), min_size=1, max_size=4),
+       st.integers(0, 4))
+def test_a_mix_takes_as_its_uncached_rule_and_resolves_its_parts_once(seed, kind, at, words, k):
+    rng = random.Random(seed)
+    parts = [draw_measure(rng, 2, rng.choice(PLAIN + ("cesaro", "convex"))) for _ in range(2)]
+    mu = measures.cesaro(parts[0], 2) if kind == "cesaro" else measures.ConvexMeasure(
+        suites.random_distribution(rng, 2), parts)
+    words = [tuple(word) for word in words]
+    expected = [takes_uncached(mu, at, word, k) for word in words]
+    assert [mu.takes(at, word, k) for word in words] == expected
+    # asked again at the same coordinate, no part's table is looked up
+    asked = []
+    with pytest.MonkeyPatch.context() as mp:
+        for inner in mixes(mu):
+            for _, part, _ in terms(inner):
+                mp.setattr(part, "table", lambda at, part=part: asked.append((part, at)))
+        assert [mu.takes(at, word, k) for word in words] == expected
+    assert asked == []

@@ -96,6 +96,23 @@ def test_rank_word_rejects_a_rank_outside_the_window():
         assert set(symbolic._WORDS) == {(2, 2, 1), (2, 0, 0)}
 
 
+def test_a_kept_value_answers_first_and_a_bad_rank_is_still_checked():
+    # a kept word or cylinder is served before any check, so every in-range
+    # neighbour of a bad rank is kept first
+    with fresh_tables():
+        words = [symbolic.rank_word(2, 2, rank) for rank in range(4)]
+        cylinders = [WindowSet.ranked_cylinder(2, 1, 2, rank) for rank in range(4)]
+        for rank in range(4):
+            assert symbolic.rank_word(2, 2, rank) is words[rank]
+            assert WindowSet.ranked_cylinder(2, 1, 2, rank) is cylinders[rank]
+        for bad in (-1, 4, 5):
+            with pytest.raises(RejectedInputError, match=f"rank {bad} outside"):
+                symbolic.rank_word(2, 2, bad)
+            with pytest.raises(RejectedInputError, match=f"rank {bad} outside"):
+                WindowSet.ranked_cylinder(2, 1, 2, bad)
+        assert len(symbolic._WORDS) == len(symbolic._CYLINDERS) == 4
+
+
 def test_a_kept_bitset_cylinder_is_not_served_where_trees_are_asked():
     # as ``trees_only`` in test_wide_sets.py: every window of more than one
     # word keeps its set as a tree

@@ -360,7 +360,7 @@ def test_symbolic_shares_values_only_in_capped_tables():
 def test_the_walk_counters_stay_tied_to_cell_values():
     """``perfbench/tracer.py`` counts ``measures.cell_value.calls`` at every
     kind's ``cell_value``.  A walk node is a single-word cylinder, and
-    ``measures._cell_sum`` prices a single word through ``cell_value``
+    ``measures.eval_shifted`` prices a single word through ``cell_value``
     alone; ``CylinderMeasure.set_value``, which prices a multi-word bitset
     in one call, is never named by the engine.  Otherwise the counter would
     stop seeing the walk until the library counts its own work."""
